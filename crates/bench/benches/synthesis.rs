@@ -18,7 +18,7 @@ fn informed_model(table: &TransitionTable) -> GlobalMobilityModel {
 }
 
 /// Informed model *without* the cache: synthesis falls back to the O(k)
-/// scan the seed implementation used — the before/after comparison.
+/// scan.
 fn informed_model_uncached(table: &TransitionTable) -> GlobalMobilityModel {
     let mut model = GlobalMobilityModel::new(table.len());
     let est: Vec<f64> = (0..table.len()).map(|i| ((i % 13) as f64 + 1.0) * 1e-3).collect();
@@ -57,162 +57,13 @@ fn bench_step(c: &mut Criterion) {
     group.finish();
 }
 
-/// A faithful reproduction of the *seed* implementation's synthesis step,
-/// frozen here as the before/after reference: O(k) scans for quit
-/// probabilities, a freshly allocated `Vec<f64>` from `move_probs` plus a
-/// linear-scan draw per stream per step, a reallocated survivors vector,
-/// and an enter-distribution allocation per spawn batch.
-mod seed_reference {
-    use super::*;
-    use retrasyn_core::sampler::sample_weighted;
-    use retrasyn_geo::CellId;
-
-    pub struct RefStream {
-        // id/start are never read back, but the struct must keep the
-        // production row layout for a faithful memory-traffic comparison.
-        #[allow(dead_code)]
-        pub id: u64,
-        #[allow(dead_code)]
-        pub start: u64,
-        pub cells: Vec<CellId>,
-    }
-
-    pub fn spawn(
-        alive: &mut Vec<RefStream>,
-        next_id: &mut u64,
-        t: u64,
-        model: &GlobalMobilityModel,
-        table: &TransitionTable,
-        count: usize,
-        rng: &mut StdRng,
-    ) {
-        let enter_dist = model.enter_distribution(table);
-        for _ in 0..count {
-            let cell = CellId(sample_weighted(&enter_dist, rng) as u32);
-            alive.push(RefStream { id: *next_id, start: t, cells: vec![cell] });
-            *next_id += 1;
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn step(
-        alive: &mut Vec<RefStream>,
-        finished: &mut Vec<RefStream>,
-        next_id: &mut u64,
-        t: u64,
-        model: &GlobalMobilityModel,
-        table: &TransitionTable,
-        target: usize,
-        lambda: f64,
-        rng: &mut StdRng,
-    ) {
-        use rand::Rng;
-        // Phase 1a: per-stream quit draw with the O(k) denominator scan,
-        // draining into a freshly allocated survivors vector.
-        let mut survivors = Vec::with_capacity(alive.len());
-        for stream in alive.drain(..) {
-            let from = *stream.cells.last().unwrap();
-            let q = model.quit_prob(table, from, stream.cells.len() as u64, lambda);
-            if rng.random::<f64>() >= q {
-                survivors.push(stream);
-            } else {
-                finished.push(stream);
-            }
-        }
-        *alive = survivors;
-        // Phase 1b: extension with a fresh Vec<f64> per stream.
-        for stream in alive.iter_mut() {
-            let from = *stream.cells.last().unwrap();
-            let probs = model.move_probs(table, from);
-            let pos = sample_weighted(&probs, rng);
-            stream.cells.push(table.move_targets(from)[pos]);
-        }
-        // Phase 2b: upward adjustment.
-        if alive.len() < target {
-            let missing = target - alive.len();
-            spawn(alive, next_id, t, model, table, missing, rng);
-        }
-    }
-}
-
-/// A faithful reproduction of the PR-2 storage layout, frozen as the
-/// columnar-refactor reference: one `Vec<CellId>` per stream (a heap
-/// pointer chase per user per step) with the same cached alias draws and
-/// fused quit+extend pass the live implementation uses. The delta between
-/// this arm and `alias` is pure memory-layout cost: SoA head columns plus
-/// the chunked tail arena versus per-stream Vecs.
-mod vec_reference {
-    use super::*;
-    use rand::Rng;
-    use retrasyn_core::SamplerCache;
-    use retrasyn_geo::CellId;
-
-    pub struct VecStream {
-        // id/start are never read back, but the struct must keep the
-        // PR-2 row layout for a faithful memory-traffic comparison.
-        #[allow(dead_code)]
-        pub id: u64,
-        #[allow(dead_code)]
-        pub start: u64,
-        pub cells: Vec<CellId>,
-    }
-
-    pub fn spawn(
-        alive: &mut Vec<VecStream>,
-        next_id: &mut u64,
-        t: u64,
-        cache: &SamplerCache,
-        count: usize,
-        rng: &mut StdRng,
-    ) {
-        for _ in 0..count {
-            let cell = cache.sample_enter(rng);
-            alive.push(VecStream { id: *next_id, start: t, cells: vec![cell] });
-            *next_id += 1;
-        }
-    }
-
-    /// The PR-2 fused steady-state pass: cached quit probability, one alias
-    /// draw, `swap_remove` retirement — over Vec-of-structs storage.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step(
-        alive: &mut Vec<VecStream>,
-        finished: &mut Vec<VecStream>,
-        next_id: &mut u64,
-        t: u64,
-        cache: &SamplerCache,
-        target: usize,
-        lambda: f64,
-        rng: &mut StdRng,
-    ) {
-        let inv_lambda = 1.0 / lambda;
-        let mut i = 0;
-        while i < alive.len() {
-            let stream = &mut alive[i];
-            let from = *stream.cells.last().unwrap();
-            let q = stream.cells.len() as f64 * inv_lambda * cache.base_quit_prob(from);
-            if rng.random::<f64>() >= q {
-                stream.cells.push(cache.sample_move(from, rng));
-                i += 1;
-            } else {
-                let quitter = alive.swap_remove(i);
-                finished.push(quitter);
-            }
-        }
-        if alive.len() < target {
-            let missing = target - alive.len();
-            spawn(alive, next_id, t, cache, missing, rng);
-        }
-    }
-}
-
 fn bench_step_100k_grid32(c: &mut Criterion) {
-    // The scaling target from the tentpole acceptance criteria: one full
-    // synthesis step over 100k live streams on a 32x32 grid. Three arms:
-    // the alias-cached hot path, the (already buffer-reusing) scan
-    // fallback, and the frozen seed implementation. Setups pre-warm six
-    // steps so trajectory vectors have spare capacity and the measured
-    // step isolates sampling cost from the amortized growth reallocation.
+    // One full synthesis step over 100k live streams on a 32x32 grid.
+    // Two arms: the alias-cached hot path and the (already
+    // buffer-reusing) scan fallback an uncached model takes. Setups
+    // pre-warm six steps so trajectory vectors have spare capacity and
+    // the measured step isolates sampling cost from the amortized growth
+    // reallocation.
     let mut group = c.benchmark_group("synthesis_step_100k_grid32");
     group.sample_size(10).measurement_time(Duration::from_millis(1500));
     let grid = Grid::unit(32);
@@ -241,105 +92,6 @@ fn bench_step_100k_grid32(c: &mut Criterion) {
                         db.step(WARM_STEPS + 1 + k, &model, &table, population, 30.0, &mut rng);
                     }
                     black_box(db.active_count())
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
-    {
-        // PR-2 Vec-of-structs storage with the same cached sampling: the
-        // memory-layout before/after for the columnar store.
-        let model = informed_model(&table);
-        let cache = model.sampler().expect("cache built").clone();
-        group.bench_function("vec_reference", |b| {
-            b.iter_batched(
-                || {
-                    let mut alive = Vec::new();
-                    let mut finished = Vec::new();
-                    let mut next_id = 0u64;
-                    let mut rng = StdRng::seed_from_u64(7);
-                    vec_reference::spawn(&mut alive, &mut next_id, 0, &cache, population, &mut rng);
-                    for t in 1..=WARM_STEPS {
-                        vec_reference::step(
-                            &mut alive,
-                            &mut finished,
-                            &mut next_id,
-                            t,
-                            &cache,
-                            population,
-                            30.0,
-                            &mut rng,
-                        );
-                    }
-                    (alive, finished, next_id, StdRng::seed_from_u64(8))
-                },
-                |(mut alive, mut finished, mut next_id, mut rng)| {
-                    for k in 0..MEASURED_STEPS {
-                        vec_reference::step(
-                            &mut alive,
-                            &mut finished,
-                            &mut next_id,
-                            WARM_STEPS + 1 + k,
-                            &cache,
-                            population,
-                            30.0,
-                            &mut rng,
-                        );
-                    }
-                    black_box(alive.len())
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
-    {
-        let model = informed_model_uncached(&table);
-        group.bench_function("seed_reference", |b| {
-            b.iter_batched(
-                || {
-                    let mut alive = Vec::new();
-                    let mut finished = Vec::new();
-                    let mut next_id = 0u64;
-                    let mut rng = StdRng::seed_from_u64(7);
-                    seed_reference::spawn(
-                        &mut alive,
-                        &mut next_id,
-                        0,
-                        &model,
-                        &table,
-                        population,
-                        &mut rng,
-                    );
-                    for t in 1..=WARM_STEPS {
-                        seed_reference::step(
-                            &mut alive,
-                            &mut finished,
-                            &mut next_id,
-                            t,
-                            &model,
-                            &table,
-                            population,
-                            30.0,
-                            &mut rng,
-                        );
-                    }
-                    (alive, finished, next_id, StdRng::seed_from_u64(8))
-                },
-                |(mut alive, mut finished, mut next_id, mut rng)| {
-                    for k in 0..MEASURED_STEPS {
-                        seed_reference::step(
-                            &mut alive,
-                            &mut finished,
-                            &mut next_id,
-                            WARM_STEPS + 1 + k,
-                            &model,
-                            &table,
-                            population,
-                            30.0,
-                            &mut rng,
-                        );
-                    }
-                    black_box(alive.len())
                 },
                 criterion::BatchSize::LargeInput,
             )

@@ -1,5 +1,5 @@
 //! Bench gate for the pluggable-discretization refactor: the sampler
-//! step over a `UniformGrid`-compiled [`Topology`] (CSR rows, 128-bit
+//! step over a `Grid`-compiled [`Topology`] (CSR rows, 128-bit
 //! packed slots, `u32` cell ids) must stay within a few percent of the
 //! pre-refactor path (fixed 3×3 arithmetic windows, 64-bit packed slots,
 //! `u16` cell ids), reconstructed here verbatim as [`LegacySampler`].

@@ -1,6 +1,6 @@
-//! Wall-clock probe of the collection kernels plus the dense/sparse
-//! crossover sweep used to set `BLOCKED_DENSE_MIN_Q` and `DENSE_MIN_Q`
-//! (tuning aid; the blessed numbers come from `benches/collection.rs`).
+//! Wall-clock probe of the blocked collection kernel plus the dense/sparse
+//! crossover sweep used to set `BLOCKED_DENSE_MIN_Q` (tuning aid; the
+//! blessed numbers come from `benches/collection.rs`).
 //!
 //! The crossover sweep times the blocked kernel's dense pass (cost
 //! `c_dense` per position, independent of `q`) against its sparse
@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use retrasyn_ldp::{Oue, Philox, ReportMode};
+use retrasyn_ldp::{Oue, Philox};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -20,15 +20,6 @@ fn main() {
     let values: Vec<usize> = (0..USERS).map(|i| (i * i + 31 * i) % DOMAIN).collect();
     let oue = Oue::new(1.0, DOMAIN).unwrap();
     let mut ones = Vec::new();
-
-    let mut rng = StdRng::seed_from_u64(1);
-    for label in ["fused (warm)", "fused"] {
-        let t = Instant::now();
-        oue.collect_ones_into(&values, ReportMode::PerUser, &mut ones, &mut rng).unwrap();
-        let dt = t.elapsed().as_secs_f64();
-        black_box(ones.iter().sum::<u64>());
-        println!("{label:18} {dt:.4} s  ({:.3} ns/pos)", dt * 1e9 / (USERS * DOMAIN) as f64);
-    }
 
     let mut rng = StdRng::seed_from_u64(2);
     let mut dense_ns_pos = f64::MAX;

@@ -19,7 +19,7 @@ REQUIRED = {"id", "median_ns", "mean_ns", "min_ns", "samples", "iters_per_sample
 # bench run that silently dropped its arm must fail the build.
 REQUIRED_IDS = {
     "collection": {
-        "collection_per_user_100k_d4096/fused",
+        "collection_per_user_100k_d4096/report_buffer_reference",
         "collection_per_user_100k_d4096/blocked",
         "collection_blocked_pool_100k_d4096/1",
         "collection_blocked_pool_100k_d4096/2",
@@ -27,10 +27,14 @@ REQUIRED_IDS = {
     },
 }
 
-# The ISSUE 8 acceptance gate: the blocked kernel's median must be at
-# least 1.5x faster than the fused kernel's median *from the same file*
-# (same run, same toolchain, same machine — no cross-machine skew).
-BLOCKED_SPEEDUP_GATE = 1.5
+# The blocked kernel's acceptance gate: its median must be at least 3.9x
+# faster than the report-buffer reference's median *from the same file*
+# (same run, same toolchain, same machine — no cross-machine skew). The
+# gate used to be 1.5x over the retired fused kernel, which itself ran
+# 2.58x faster than the report buffer; 1.5 x 2.58 = 3.9 keeps it as
+# strict.
+BLOCKED_SPEEDUP_GATE = 3.9
+REFERENCE_ID = "collection_per_user_100k_d4096/report_buffer_reference"
 
 
 def main() -> int:
@@ -84,15 +88,15 @@ def main() -> int:
                 and isinstance(row.get("median_ns"), (int, float))
                 and not isinstance(row.get("median_ns"), bool)
             }
-            fused = medians.get("collection_per_user_100k_d4096/fused")
+            reference = medians.get(REFERENCE_ID)
             blocked = medians.get("collection_per_user_100k_d4096/blocked")
-            if fused and blocked:
-                speedup = fused / blocked
+            if reference and blocked:
+                speedup = reference / blocked
                 if speedup < BLOCKED_SPEEDUP_GATE:
                     error(
-                        f"{path}: blocked kernel regressed — fused/blocked median "
+                        f"{path}: blocked kernel regressed — reference/blocked median "
                         f"ratio {speedup:.2f} < required {BLOCKED_SPEEDUP_GATE}x "
-                        f"(fused {fused:.0f} ns, blocked {blocked:.0f} ns)"
+                        f"(reference {reference:.0f} ns, blocked {blocked:.0f} ns)"
                     )
                 else:
                     print(f"blocked collection kernel speedup: {speedup:.2f}x (gate {BLOCKED_SPEEDUP_GATE}x)")

@@ -48,23 +48,13 @@ pub struct RetraSynConfig {
     /// random stream but stays deterministic per `(seed, threads)`.
     pub synthesis_threads: usize,
     /// Worker threads for the LDP collection phase (per-user perturbation
-    /// and tallying). 1 = sequential (default); >1 shards the reporters
-    /// across a persistent collection pool — a different random stream,
-    /// deterministic per `(seed, threads)` and distributionally
-    /// equivalent to the sequential round. Applies to
+    /// and tallying). 1 = sequential (default); >1 shards each round of
+    /// the blocked counter-based kernel across a persistent collection
+    /// pool. The output is identical at every value. Applies to
     /// [`ReportMode::PerUser`] rounds, where the per-user work is what
     /// parallelizes; the O(domain) [`ReportMode::Aggregate`] shortcut
     /// always runs sequentially.
     pub collection_threads: usize,
-    /// Collection kernel for [`ReportMode::PerUser`] rounds (see
-    /// [`CollectionKernel`]). `Sequential` (default) keeps the historical
-    /// fused perturb→tally stream; `Blocked` switches to the
-    /// counter-based Philox kernel — a different (still
-    /// distribution-identical) random stream that is bit-identical
-    /// across `collection_threads` values, not just across runs.
-    /// [`ReportMode::Aggregate`] rounds ignore the kernel: their
-    /// O(domain) binomial shortcut has no per-user pass to accelerate.
-    pub collection_kernel: CollectionKernel,
     /// Epoch compaction policy (`None` = never compact, the default).
     /// When set, a step that leaves more resident cells than the policy's
     /// high-water mark drains finished streams out of the tail arena into
@@ -93,7 +83,6 @@ impl RetraSynConfig {
             enter_quit: true,
             synthesis_threads: 1,
             collection_threads: 1,
-            collection_kernel: CollectionKernel::Sequential,
             compaction: None,
         }
     }
@@ -143,9 +132,11 @@ impl RetraSynConfig {
         self
     }
 
-    /// Select the collection kernel for per-user rounds.
-    pub fn with_collection_kernel(mut self, kernel: CollectionKernel) -> Self {
-        self.collection_kernel = kernel;
+    /// Select the collection kernel for per-user rounds. The blocked
+    /// kernel is the only one, so this returns the configuration
+    /// unchanged; it is kept so that callers written against the former
+    /// two-kernel choice keep compiling.
+    pub fn with_collection_kernel(self, _kernel: CollectionKernel) -> Self {
         self
     }
 
@@ -171,7 +162,6 @@ mod tests {
         assert!(c.dmu);
         assert!(c.enter_quit);
         assert_eq!(c.report_mode, ReportMode::Aggregate);
-        assert_eq!(c.collection_kernel, CollectionKernel::Sequential);
     }
 
     #[test]
@@ -193,9 +183,15 @@ mod tests {
         assert_eq!(c.report_mode, ReportMode::PerUser);
         assert_eq!(c.synthesis_threads, 2);
         assert_eq!(c.collection_threads, 4);
-        assert_eq!(c.collection_kernel, CollectionKernel::Blocked);
         assert_eq!(c.compaction, Some(CompactionPolicy::new(10_000)));
         assert_eq!(RetraSynConfig::new(1.0, 10).compaction, None);
+    }
+
+    #[test]
+    fn collection_kernel_builder_is_identity() {
+        let c = RetraSynConfig::new(1.0, 10).per_user_reports();
+        let same = c.clone().with_collection_kernel(CollectionKernel::Blocked);
+        assert_eq!(format!("{c:?}"), format!("{same:?}"));
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::wal::{Dec, Enc, Fingerprint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use retrasyn_geo::{GriddedDataset, Space, Topology, TransitionState, TransitionTable, UserEvent};
-use retrasyn_ldp::{CollectionKernel, Estimate, Oue, Philox, ReportMode, WEventLedger};
+use retrasyn_ldp::{Estimate, Oue, Philox, ReportMode, WEventLedger};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -51,7 +51,7 @@ pub struct StepTimings {
     /// User-side computation (perturbation / report simulation): the
     /// wall-clock of the whole collection round — when
     /// `collection_threads > 1` this covers shard dispatch, the per-shard
-    /// fused perturb→tally passes and the accumulator merge.
+    /// blocked-kernel passes and the accumulator merge.
     pub user_side: f64,
     /// Mobility model construction (aggregation, debias, update).
     pub model_construction: f64,
@@ -163,8 +163,8 @@ pub struct RetraSyn {
 }
 
 impl RetraSyn {
-    /// Create an engine over any discretization — a legacy [`retrasyn_geo::Grid`],
-    /// a [`retrasyn_geo::UniformGrid`], a [`retrasyn_geo::QuadGrid`], or an
+    /// Create an engine over any discretization — a uniform
+    /// [`retrasyn_geo::Grid`], a [`retrasyn_geo::QuadGrid`], or an
     /// already-compiled [`Topology`].
     pub fn new<S: Space>(config: RetraSynConfig, space: S, division: Division, seed: u64) -> Self {
         let table = TransitionTable::new(&space);
@@ -554,10 +554,6 @@ impl RetraSyn {
             .u64(c.enter_quit as u64)
             .usize(c.synthesis_threads)
             .usize(c.collection_threads)
-            .u64(match c.collection_kernel {
-                CollectionKernel::Sequential => 0,
-                CollectionKernel::Blocked => 1,
-            })
             .space(self.table.topology().descriptor());
         f.finish()
     }
@@ -775,18 +771,14 @@ impl RetraSyn {
 
     /// Shared collection tail: run one OUE round over
     /// [`Self::scratch_values`] with per-report budget `eps`, filling
-    /// [`Self::scratch_est`]. Per-user rounds run the configured
-    /// [`CollectionKernel`] — `Sequential` keeps the historical fused
-    /// perturb→tally stream (one seed per shard when pooled); `Blocked`
-    /// draws exactly **one** key from the session RNG and hands it to the
-    /// counter-based kernel, whose output is bit-identical at every
-    /// `collection_threads` value. Sharded across the persistent
-    /// [`CollectionPool`] when `collection_threads > 1` *and* the round
-    /// simulates per-user reports — the per-user work is what
-    /// parallelizes; the O(domain) `Aggregate` shortcut would only
-    /// multiply its binomial draws by the shard count, so it always runs
-    /// sequentially and ignores the kernel. Every buffer involved is
-    /// engine scratch — zero heap allocations after warm-up.
+    /// [`Self::scratch_est`]. Per-user rounds run the blocked
+    /// counter-based kernel, keyed by exactly **one** draw from the
+    /// session RNG, so their output is bit-identical at every
+    /// `collection_threads` value; with more than one thread the round is
+    /// sharded across the persistent [`CollectionPool`]. The O(domain)
+    /// `Aggregate` shortcut has no per-user pass to shard and always runs
+    /// sequentially. Every buffer involved is engine scratch — zero heap
+    /// allocations after warm-up.
     ///
     /// The collected states are in domain by construction (the `try_step`
     /// pre-pass validated every event), so a mechanism error here is a
@@ -803,44 +795,18 @@ impl RetraSyn {
         self.ensure_oracle(eps, self.domain_len().max(2));
         let oracle = Arc::clone(self.oracle.as_ref().expect("ensured above"));
         let values = std::mem::take(&mut self.scratch_values);
-        let per_user = self.config.report_mode == ReportMode::PerUser;
-        let result: Result<(), CollectError> = if per_user
-            && self.config.collection_kernel == CollectionKernel::Blocked
-        {
-            // Blocked counter-based kernel: the round's entire randomness
-            // is one key (a single u64 draw, however many threads run),
-            // and the pooled round is bit-identical to the unsharded one.
-            let ph = Philox::new(self.rng.random());
-            if self.config.collection_threads > 1 {
+        let mode = self.config.report_mode;
+        let result: Result<(), CollectError> =
+            if mode == ReportMode::PerUser && self.config.collection_threads > 1 {
+                let ph = Philox::new(self.rng.random());
                 let threads = self.config.collection_threads;
                 let pool = self.collector.get_or_insert_with(|| CollectionPool::new(threads));
                 pool.collect_ones_blocked(&oracle, &values, &ph, &mut self.scratch_ones).map(|_| ())
             } else {
                 oracle
-                    .collect_ones_blocked(&values, 0, &ph, &mut self.scratch_ones)
+                    .collect_ones_into(&values, mode, &mut self.scratch_ones, &mut self.rng)
                     .map_err(CollectError::Ldp)
-            }
-        } else if per_user && self.config.collection_threads > 1 {
-            let threads = self.config.collection_threads;
-            let pool = self.collector.get_or_insert_with(|| CollectionPool::new(threads));
-            pool.collect_ones(
-                &oracle,
-                &values,
-                self.config.report_mode,
-                &mut self.scratch_ones,
-                &mut self.rng,
-            )
-            .map(|_| ())
-        } else {
-            oracle
-                .collect_ones_into(
-                    &values,
-                    self.config.report_mode,
-                    &mut self.scratch_ones,
-                    &mut self.rng,
-                )
-                .map_err(CollectError::Ldp)
-        };
+            };
         self.scratch_values = values;
         match result {
             Ok(()) => {

@@ -340,10 +340,10 @@ fn classify(
 mod tests {
     use super::*;
     use crate::session::IterSource;
-    use retrasyn_geo::{BoundingBox, CellId, Space, UniformGrid};
+    use retrasyn_geo::{CellId, Grid, Space};
 
     fn topo() -> Arc<Topology> {
-        UniformGrid::new(4, BoundingBox::unit()).compile_shared()
+        Grid::unit(4).compile_shared()
     }
 
     fn enter(user: u64, cell: u32) -> UserEvent {

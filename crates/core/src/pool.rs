@@ -7,19 +7,22 @@
 //! state, and no `unsafe` lifetime erasure (the crate forbids `unsafe`).
 //!
 //! A `PoolJob` is a self-contained unit of shard work: it owns its input
-//! buffers, its seed and an `Arc` snapshot of whatever read-only state the
-//! pass needs, and is transformed in place by `PoolJob::run`. Two
-//! subsystems instantiate the pool:
+//! buffers, its randomness (a seed or a counter-based key) and an `Arc`
+//! snapshot of whatever read-only state the pass needs, and is
+//! transformed in place by `PoolJob::run`. Two subsystems instantiate the
+//! pool:
 //!
 //! - [`SynthesisPool`] (this module) runs the synthesis passes over
-//!   `ShardState` column shards;
-//! - [`crate::collect::CollectionPool`] runs fused perturb→tally collection
-//!   rounds over reporter-value shards.
+//!   `ShardState` column shards. Each shard is seeded from the caller's
+//!   RNG in shard order, so a fixed `(seed, threads)` pair yields
+//!   identical output regardless of worker scheduling.
+//! - [`crate::collect::CollectionPool`] runs blocked-kernel collection
+//!   rounds over domain or reporter shards. Every shard shares the
+//!   round's one Philox key, so the output is identical at every thread
+//!   count.
 //!
-//! Determinism contract shared by both: each shard is seeded from the
-//! caller's RNG in shard order, shards are fixed-size disjoint ranges, and
-//! replies are re-assembled by shard index, so a fixed `(seed, threads)`
-//! pair yields identical output regardless of worker scheduling.
+//! In both, shards are fixed-size disjoint ranges and replies are
+//! re-assembled by shard index.
 //!
 //! # Synthesis shards
 //!

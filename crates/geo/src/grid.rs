@@ -25,50 +25,15 @@ impl CellId {
     }
 }
 
-/// A uniform K×K grid over a bounding box.
+/// A uniform K×K grid over a bounding box — the paper's discretization.
+///
+/// Cells are numbered row-major (`y·K + x`). As a [`crate::Space`] it
+/// compiles to a [`crate::Topology`] whose adjacency row for each cell is
+/// the in-bounds 3×3 block around it, in ascending index order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
     k: u16,
     bbox: BoundingBox,
-}
-
-/// The (at most 9) cells adjacent to a cell, including itself, in ascending
-/// index order.
-#[derive(Debug, Clone, Copy)]
-pub struct Neighborhood {
-    cells: [CellId; 9],
-    len: u8,
-}
-
-impl Neighborhood {
-    /// Neighbor cells as a slice (ascending cell index).
-    pub fn as_slice(&self) -> &[CellId] {
-        &self.cells[..self.len as usize]
-    }
-
-    /// Number of neighbors (4 for corners, 6 for edges, 9 for interior —
-    /// self included).
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether the neighborhood is empty (never, for a valid grid).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether `c` belongs to the neighborhood.
-    pub fn contains(&self, c: CellId) -> bool {
-        self.as_slice().contains(&c)
-    }
-}
-
-impl<'a> IntoIterator for &'a Neighborhood {
-    type Item = CellId;
-    type IntoIter = std::iter::Copied<std::slice::Iter<'a, CellId>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter().copied()
-    }
 }
 
 impl Grid {
@@ -145,30 +110,6 @@ impl Grid {
         )
     }
 
-    /// The neighborhood `N(c)` (adjacent cells including `c` itself, the
-    /// paper's reachability constraint), in ascending index order.
-    pub fn neighbors(&self, c: CellId) -> Neighborhood {
-        let (cx, cy) = self.cell_xy(c);
-        let mut cells = [CellId(0); 9];
-        let mut len = 0u8;
-        // y-major ascending scan yields ascending indices.
-        for dy in -1i32..=1 {
-            let y = cy as i32 + dy;
-            if y < 0 || y >= self.k as i32 {
-                continue;
-            }
-            for dx in -1i32..=1 {
-                let x = cx as i32 + dx;
-                if x < 0 || x >= self.k as i32 {
-                    continue;
-                }
-                cells[len as usize] = self.cell_at(x as u16, y as u16);
-                len += 1;
-            }
-        }
-        Neighborhood { cells, len }
-    }
-
     /// Whether two cells are adjacent (Chebyshev distance ≤ 1; a cell is
     /// adjacent to itself).
     pub fn are_adjacent(&self, a: CellId, b: CellId) -> bool {
@@ -180,13 +121,6 @@ impl Grid {
     /// Iterator over all cells in index order.
     pub fn cells(&self) -> impl Iterator<Item = CellId> {
         (0..self.num_cells() as u32).map(CellId)
-    }
-
-    /// Chebyshev (grid-hop) distance between two cells.
-    pub fn chebyshev(&self, a: CellId, b: CellId) -> u16 {
-        let (ax, ay) = self.cell_xy(a);
-        let (bx, by) = self.cell_xy(b);
-        ax.abs_diff(bx).max(ay.abs_diff(by))
     }
 }
 
@@ -223,41 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn neighborhood_sizes() {
-        let g = Grid::unit(5);
-        // Corner: 4 neighbors (itself + 3).
-        assert_eq!(g.neighbors(g.cell_at(0, 0)).len(), 4);
-        // Edge: 6.
-        assert_eq!(g.neighbors(g.cell_at(2, 0)).len(), 6);
-        // Interior: 9.
-        assert_eq!(g.neighbors(g.cell_at(2, 2)).len(), 9);
-        // k = 1: single cell, neighborhood is itself.
-        let g1 = Grid::unit(1);
-        assert_eq!(g1.neighbors(CellId(0)).len(), 1);
-    }
-
-    #[test]
-    fn neighborhood_sorted_and_contains_self() {
-        let g = Grid::unit(6);
-        for c in g.cells() {
-            let n = g.neighbors(c);
-            assert!(n.contains(c));
-            assert!(!n.is_empty());
-            let s = n.as_slice();
-            for w in s.windows(2) {
-                assert!(w[0] < w[1], "not sorted at {c:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn adjacency_symmetry_matches_neighborhood() {
+    fn adjacency_symmetric_and_reflexive() {
         let g = Grid::unit(4);
         for a in g.cells() {
+            assert!(g.are_adjacent(a, a));
             for b in g.cells() {
-                let adj = g.are_adjacent(a, b);
-                assert_eq!(adj, g.are_adjacent(b, a));
-                assert_eq!(adj, g.neighbors(a).contains(b));
+                assert_eq!(g.are_adjacent(a, b), g.are_adjacent(b, a));
             }
         }
     }
@@ -270,13 +175,6 @@ mod tests {
                 assert!(g.are_adjacent(a, b));
             }
         }
-    }
-
-    #[test]
-    fn chebyshev_distance() {
-        let g = Grid::unit(10);
-        assert_eq!(g.chebyshev(g.cell_at(0, 0), g.cell_at(3, 5)), 5);
-        assert_eq!(g.chebyshev(g.cell_at(4, 4), g.cell_at(4, 4)), 0);
     }
 
     #[test]

@@ -31,10 +31,10 @@ pub mod timeline;
 pub mod trajectory;
 pub mod transition;
 
-pub use grid::{CellId, Grid, Neighborhood};
+pub use grid::{CellId, Grid};
 pub use gridded::{GriddedDataset, GriddedStream, StreamView};
 pub use point::{BoundingBox, Point};
-pub use space::{QuadGrid, QuadLeaf, Space, SpaceDescriptor, Topology, UniformGrid};
+pub use space::{QuadGrid, QuadLeaf, Space, SpaceDescriptor, Topology};
 pub use stream::{DatasetStats, StreamDataset};
 pub use timeline::{EventTimeline, UserEvent};
 pub use trajectory::Trajectory;

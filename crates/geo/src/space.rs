@@ -11,9 +11,8 @@
 //!
 //! Two compilers ship today:
 //!
-//! - [`UniformGrid`] (and [`Grid`] itself): the paper's K×K grid. The
-//!   compiled adjacency reproduces the legacy row-major indexing and
-//!   y-major ascending neighbor order bit for bit.
+//! - [`Grid`]: the paper's K×K grid. Cell ids are row-major and each
+//!   adjacency row is the cell's in-bounds 3×3 block in ascending order.
 //! - [`QuadGrid`]: a density-adaptive quad tree in the PrivTrace style —
 //!   cells split while their (public / first-round) population estimate
 //!   exceeds a threshold, so the space stays coarse where data is thin and
@@ -74,12 +73,6 @@ impl Space for Arc<Topology> {
 
     fn compile_shared(&self) -> Arc<Topology> {
         Arc::clone(self)
-    }
-}
-
-impl Space for Grid {
-    fn compile(&self) -> Topology {
-        UniformGrid::new(self.k() as u32, *self.bbox()).compile()
     }
 }
 
@@ -343,45 +336,10 @@ fn unit_rect(bbox: &BoundingBox, lo: (u32, u32), hi: (u32, u32), total: u32) -> 
     )
 }
 
-/// The paper's uniform K×K grid as a [`Space`] compiler.
-///
-/// Compiles to the exact legacy layout: row-major cell ids (`y·K + x`)
-/// and y-major ascending adjacency rows, so uniform topologies are
-/// drop-in bit-compatible with [`Grid`] arithmetic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UniformGrid {
-    k: u32,
-    bbox: BoundingBox,
-}
-
-impl UniformGrid {
-    /// A K×K grid over `bbox`; `k` must be in `[1, 65535]` so the cell
-    /// universe fits `u32`.
-    pub fn new(k: u32, bbox: BoundingBox) -> Self {
-        assert!((1..=65535).contains(&k), "grid granularity k={k} out of range [1, 65535]");
-        UniformGrid { k, bbox }
-    }
-
-    /// A K×K grid over the unit square.
-    pub fn unit(k: u32) -> Self {
-        UniformGrid::new(k, BoundingBox::unit())
-    }
-
-    /// Grid granularity K.
-    #[inline]
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// The covered bounding box.
-    pub fn bbox(&self) -> &BoundingBox {
-        &self.bbox
-    }
-}
-
-impl Space for UniformGrid {
+impl Space for Grid {
     fn compile(&self) -> Topology {
-        let k = self.k;
+        let k = u32::from(self.k());
+        let bbox = *self.bbox();
         let n = k as usize * k as usize;
         let mut rects = Vec::with_capacity(n);
         let mut adj_offsets = Vec::with_capacity(n + 1);
@@ -389,9 +347,8 @@ impl Space for UniformGrid {
         adj_offsets.push(0u32);
         for y in 0..k {
             for x in 0..k {
-                rects.push(unit_rect(&self.bbox, (x, y), (x + 1, y + 1), k));
-                // Same y-major ascending scan as the legacy
-                // `Grid::neighbors`: yields ascending dense indices.
+                rects.push(unit_rect(&bbox, (x, y), (x + 1, y + 1), k));
+                // y-major scan of the 3×3 block: ascending dense indices.
                 for dy in -1i64..=1 {
                     let ny = y as i64 + dy;
                     if ny < 0 || ny >= k as i64 {
@@ -409,8 +366,8 @@ impl Space for UniformGrid {
             }
         }
         Topology {
-            descriptor: SpaceDescriptor::Uniform { k, bbox: self.bbox },
-            bbox: self.bbox,
+            descriptor: SpaceDescriptor::Uniform { k, bbox },
+            bbox,
             rects,
             adj_offsets,
             adj,
@@ -660,13 +617,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uniform_matches_legacy_grid() {
+    fn uniform_rows_are_ascending_3x3_blocks() {
         for k in [1u16, 2, 3, 5, 8] {
             let grid = Grid::unit(k);
             let topo = grid.compile();
             assert_eq!(topo.num_cells(), grid.num_cells());
             for c in grid.cells() {
-                assert_eq!(topo.neighbors(c), grid.neighbors(c).as_slice(), "k={k} cell {c:?}");
+                let (x, y) = grid.cell_xy(c);
+                let mut block = Vec::new();
+                for ny in y.saturating_sub(1)..=(y + 1).min(k - 1) {
+                    for nx in x.saturating_sub(1)..=(x + 1).min(k - 1) {
+                        block.push(grid.cell_at(nx, ny));
+                    }
+                }
+                assert_eq!(topo.neighbors(c), block.as_slice(), "k={k} cell {c:?}");
             }
         }
     }
@@ -684,7 +648,7 @@ mod tests {
 
     #[test]
     fn uniform_rects_tile_and_locate() {
-        let topo = UniformGrid::unit(4).compile();
+        let topo = Grid::unit(4).compile();
         for c in topo.cells() {
             assert_eq!(topo.cell_of(&topo.center(c)), c);
         }
@@ -786,7 +750,7 @@ mod tests {
 
     #[test]
     fn hop_distance_uniform_and_quad() {
-        let topo = UniformGrid::unit(6).compile();
+        let topo = Grid::unit(6).compile();
         assert_eq!(topo.hop_distance(CellId(0), CellId(0)), 0);
         assert_eq!(topo.hop_distance(CellId(0), CellId(7)), 1);
         // (0,0) -> (5,3): Chebyshev 5.
@@ -799,11 +763,5 @@ mod tests {
         let d = qt.hop_distance(a, b);
         assert!(d >= 1 && d != u64::MAX);
         assert_eq!(qt.hop_distance(a, a), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn uniform_zero_rejected() {
-        let _ = UniformGrid::unit(0);
     }
 }

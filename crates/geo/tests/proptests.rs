@@ -24,16 +24,19 @@ proptest! {
         prop_assert!(g.cell_of(&Point::new(x, y)).index() < g.num_cells());
     }
 
-    /// Adjacency is symmetric and reflexive; neighborhoods agree with it.
+    /// Adjacency is symmetric and reflexive; the compiled topology's
+    /// rows agree with it.
     #[test]
     fn adjacency_properties(k in 1u16..=12, a in 0usize..144, b in 0usize..144) {
         let g = Grid::unit(k);
+        let topo = g.compile();
         let n = g.num_cells();
         let a = retrasyn_geo::CellId((a % n) as u32);
         let b = retrasyn_geo::CellId((b % n) as u32);
         prop_assert!(g.are_adjacent(a, a));
         prop_assert_eq!(g.are_adjacent(a, b), g.are_adjacent(b, a));
-        prop_assert_eq!(g.are_adjacent(a, b), g.neighbors(a).contains(b));
+        prop_assert_eq!(g.are_adjacent(a, b), topo.neighbors(a).contains(&b));
+        prop_assert_eq!(g.are_adjacent(a, b), topo.are_adjacent(a, b));
     }
 
     /// The transition index is a bijection over the whole domain.
@@ -130,6 +133,7 @@ proptest! {
         specs in prop::collection::vec((0u64..20, 1usize..12, 0usize..1000), 1..25),
     ) {
         let g = Grid::unit(k);
+        let topo = g.compile();
         let mut streams = Vec::new();
         let (mut ids, mut starts, mut offsets, mut cells) =
             (Vec::new(), Vec::new(), vec![0usize], Vec::new());
@@ -138,8 +142,8 @@ proptest! {
             let mut cur = retrasyn_geo::CellId((seed % g.num_cells()) as u32);
             let mut walk = vec![cur];
             for step in 1..len {
-                let neigh = g.neighbors(cur);
-                cur = neigh.as_slice()[(seed + step) % neigh.len()];
+                let neigh = topo.neighbors(cur);
+                cur = neigh[(seed + step) % neigh.len()];
                 walk.push(cur);
             }
             ids.push(i as u64);
@@ -227,25 +231,6 @@ proptest! {
         let sub = ds.subsample(fraction);
         let expected = n.div_ceil(denom);
         prop_assert_eq!(sub.trajectories().len(), expected);
-    }
-}
-
-/// Pinned: the compiled uniform topology reproduces the legacy
-/// `Neighborhood` order (ascending, y-major scan) for every cell — the
-/// bit-compatibility contract that keeps blessed snapshots valid.
-#[test]
-fn uniform_topology_matches_legacy_neighborhood() {
-    for k in [1u16, 2, 3, 32] {
-        let grid = Grid::unit(k);
-        let topo = grid.compile();
-        assert_eq!(topo.num_cells(), grid.num_cells(), "k={k}");
-        for c in grid.cells() {
-            assert_eq!(
-                topo.neighbors(c),
-                grid.neighbors(c).as_slice(),
-                "neighbor order diverged at k={k}, cell {c:?}"
-            );
-        }
     }
 }
 

@@ -7,8 +7,9 @@
 //! end-to-end for a batch of users in either of two statistically equivalent
 //! modes:
 //!
-//! - [`ReportMode::PerUser`] materializes each user's report exactly as a
-//!   deployment would — O(n·d) work, used in tests and small examples.
+//! - [`ReportMode::PerUser`] simulates every user's report bit by bit
+//!   through the blocked counter-based kernel — O(n·d) work, used in
+//!   tests and small examples.
 //! - [`ReportMode::Aggregate`] samples the per-position ones-counts directly
 //!   from their exact distribution (`Binomial(c_j, p) + Binomial(n−c_j, q)`)
 //!   — O(d) work, used by the experiment harness.
@@ -30,25 +31,16 @@ pub enum ReportMode {
     Aggregate,
 }
 
-/// Which dense-capable kernel executes a [`ReportMode::PerUser`] OUE
-/// collection round. Both kernels sample the per-bit OUE process; they
-/// consume **different random streams**, so the choice is part of the
-/// determinism contract (fixed `(seed, threads, kernel)` → bit-identical
-/// output) and of the engine fingerprint.
+/// The kernel that executes a [`ReportMode::PerUser`] OUE collection
+/// round. The counter-based kernel ([`crate::Oue::collect_ones_blocked`])
+/// is the only one: one Philox4×32-10 key per round, draws addressed by
+/// `(reporter, position)`, so output is invariant to the collection
+/// thread count. The type survives so that configurations written
+/// against the former two-kernel choice keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CollectionKernel {
-    /// The historical kernel: one sequential `next_u64` per
-    /// (reporter × position) from the caller's (or shard's) xoshiro
-    /// stream — one draw chain, loop-carried RNG dependence. Default, and
-    /// the stream all pre-existing blessed snapshots were taken under.
+    /// The counter-based blocked kernel.
     #[default]
-    Sequential,
-    /// The counter-based kernel ([`crate::Oue::collect_ones_blocked`]):
-    /// one Philox4×32-10 key per round, draws addressed by
-    /// `(reporter, position)` and generated in independent 8-block gangs
-    /// with no carry chain, accumulated through L1-resident domain tiles.
-    /// Output is invariant to the `(reporter × domain)` partition, hence
-    /// to the collection thread count.
     Blocked,
 }
 
@@ -142,8 +134,8 @@ impl FrequencyOracle for Oue {
         if n == 0 {
             return Ok(Estimate::empty(self.domain()));
         }
-        // Both modes run through the zero-allocation round: PerUser takes
-        // the fused perturb→tally kernel (no report materialization),
+        // Both modes run through the zero-allocation round: PerUser draws
+        // one key for the blocked kernel (no report materialization),
         // Aggregate samples the position counts in place with the same
         // random stream as the historical allocating path.
         let mut ones = Vec::new();

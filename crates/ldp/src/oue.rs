@@ -13,6 +13,16 @@
 //! `f̂(x) = (ones_x/n − q)/(p − q)` with variance `4·e^ε/(n·(e^ε − 1)²)`
 //! (paper Eq. 3). Each user's whole vector satisfies ε-LDP because flipping
 //! the input moves exactly two bits, and `(p/q)·((1−q)/(1−p)) = e^ε`.
+//!
+//! One kernel collects per-user rounds: the counter-based blocked kernel
+//! ([`Oue::collect_ones_blocked`]), whose draws are addressed by
+//! `(Philox key, reporter row, position)` so a round is bit-identical
+//! however it is sharded. The report-materializing path
+//! ([`Oue::perturb`] / [`Oue::tally`]) is what a deployed client and
+//! curator would run; it stays as the reference the kernel is
+//! chi-square-tested against. [`crate::ReportMode::Aggregate`] rounds skip
+//! the per-user pass and sample the position counts from their exact
+//! binomial distribution.
 
 use crate::binomial;
 use crate::error::LdpError;
@@ -96,10 +106,6 @@ pub struct Oue {
     q: f64,
     /// `1 / ln(1−q)`, precomputed for the geometric-skip draw.
     inv_ln_1mq: f64,
-    /// `round(q · 2^64)`: `next_u64() < thresh_q` is a Bernoulli(q) draw
-    /// with bias below 2^−64 — finer than the 2^−53 granularity of an
-    /// `f64` comparison.
-    thresh_q: u64,
     /// `⌊q · 2^32⌋`: the 32-bit threshold of the blocked kernel, which
     /// compares one Philox word per position (bias below 2^−32 —
     /// undetectable at any reporter count this side of 2^64 draws).
@@ -113,25 +119,14 @@ pub const OUE_P: f64 = 0.5;
 /// 2^15`; the tie at 2^15 has a zero low half, so it never extends).
 const OUE_P_THRESH16: u32 = 1 << 15;
 
-/// At or above this `q` the **sequential** fused kernel uses the dense
-/// branchless Bernoulli pass (one predictable-latency draw per
-/// position); below it reports are sparse enough that geometric skipping
-/// (one logarithm per reported 1, ≈ d·q of them) is cheaper. The
-/// crossover is the ratio of a pipelined `next_u64`+compare+add
-/// (measured 1.34 ns/position at x86-64-v3) to a serial `ln` landing
-/// (18–21 ns): q* ≈ 1.34/18 ≈ 0.074. Re-measure with
-/// `collection_probe` if `BENCH_collection.json` moves on new hardware.
-const DENSE_MIN_Q: f64 = 0.08;
-
-/// Dense/sparse crossover of the **blocked** kernel. Blocked dense draws
-/// are cheaper than sequential ones (the Philox halfword gangs pipeline
-/// with no RNG carry chain: measured 0.77 ns/position at x86-64-v3 vs
-/// 1.34 ns fused), while a sparse landing costs the same serial `ln`
-/// either way (18–21 ns) — so the crossover sits lower than the
-/// sequential kernel's: q* = 0.77/18 ≈ 0.043, i.e. dense pays off
-/// already at ε ≲ ln(1/0.04 − 1) ≈ 3.2. Measured by the
-/// `collection_probe` crossover sweep; re-measure alongside
-/// `DENSE_MIN_Q` if `BENCH_collection.json` regresses on new hardware.
+/// Dense/sparse crossover of the blocked kernel: at or above this `q`
+/// the dense halfword pass runs (one Philox halfword per position; the
+/// gangs pipeline with no RNG carry chain, measured 0.77 ns/position at
+/// x86-64-v3), below it the geometric-skipping walk (one serial `ln` per
+/// reported 1, 18–21 ns, ≈ d·q of them) is cheaper: q* = 0.77/18 ≈
+/// 0.043, i.e. dense pays off already at ε ≲ ln(1/0.04 − 1) ≈ 3.2.
+/// Measured by the `collection_probe` crossover sweep; re-measure if
+/// `BENCH_collection.json` regresses on new hardware.
 const BLOCKED_DENSE_MIN_Q: f64 = 0.04;
 
 /// Positions covered by one Philox gang: 8 lanes × 8 halfwords per
@@ -160,10 +155,9 @@ impl Oue {
             return Err(LdpError::InvalidDomain(domain));
         }
         let q = 1.0 / (eps.exp() + 1.0);
-        // q < 1/2, so q·2^64 < 2^63 never saturates the cast.
-        let thresh_q = (q * (u64::MAX as f64 + 1.0)) as u64;
+        // q < 1/2, so q·2^32 < 2^31 never saturates the cast.
         let thresh_q32 = (q * (u32::MAX as f64 + 1.0)) as u32;
-        Ok(Oue { eps, domain, q, inv_ln_1mq: (1.0 - q).ln().recip(), thresh_q, thresh_q32 })
+        Ok(Oue { eps, domain, q, inv_ln_1mq: (1.0 - q).ln().recip(), thresh_q32 })
     }
 
     /// Privacy budget ε.
@@ -219,10 +213,9 @@ impl Oue {
         Ok(())
     }
 
-    /// The geometric-skipping walk shared by every sparse path
-    /// ([`Self::perturb_into`], the sparse regime of
-    /// [`Self::perturb_tally_into`] and the blocked kernel's sparse
-    /// regime): `emit(i)` is called once for every reported-1 position.
+    /// The geometric-skipping walk shared by both sparse paths
+    /// ([`Self::perturb_into`] and the blocked kernel's sparse regime):
+    /// `emit(i)` is called once for every reported-1 position.
     /// The gap to the next reported 1 is drawn as
     /// `⌊ln(1−u)·inv_ln_1mq⌋` — distributionally identical to the
     /// independent per-bit Bernoulli(q) process — with the cast
@@ -259,75 +252,16 @@ impl Oue {
         }
     }
 
-    /// Fused perturb→tally for a single user: sample the report's 1s and
-    /// increment the `ones` counters directly — no [`BitReport`]
-    /// materialization, no word re-scan, no heap allocation.
-    ///
-    /// Two regimes, both sampling the exact per-bit OUE process:
-    ///
-    /// - **dense** (`q ≥ 0.08`, e.g. every ε ≤ ~2.4): one branchless
-    ///   threshold compare per position, `ones[i] += (x < q·2^64)`.
-    ///   Reports carry ≈ d·q ones here, so geometric skipping saves few
-    ///   draws while paying an unpredictable branch and a serial `ln` per
-    ///   landing; the dense pass instead pipelines at ~1 ns/position with
-    ///   zero mispredictions and streams the accumulator sequentially.
-    /// - **sparse** (`q < 0.08`, large ε): geometric skipping — the gap
-    ///   to the next reported 1 is `⌊ln(1−u)/ln(1−q)⌋` as in
-    ///   [`Self::perturb_into`], costing O(d·q) logarithms.
-    ///
-    /// Distributionally identical to [`Self::perturb_into`] +
-    /// [`Self::tally_into`] in either regime (independent Bernoulli(q)
-    /// 0-bits, Bernoulli(p) true bit). This is the per-user kernel of the
-    /// sharded collection pipeline: each worker folds its reporters into
-    /// a private domain-sized accumulator and accumulators merge by
-    /// addition.
-    pub fn perturb_tally_into<R: Rng + ?Sized>(
-        &self,
-        value: usize,
-        ones: &mut [u64],
-        rng: &mut R,
-    ) -> Result<(), LdpError> {
-        if value >= self.domain {
-            return Err(LdpError::ValueOutOfDomain { value, domain: self.domain });
-        }
-        if ones.len() != self.domain {
-            return Err(LdpError::MalformedReport(format!(
-                "tally length {} != domain {}",
-                ones.len(),
-                self.domain
-            )));
-        }
-        if self.q >= DENSE_MIN_Q {
-            // Dense branchless pass over the non-true positions (the true
-            // bit gets its own Bernoulli(p) draw below). Split at `value`
-            // so the hot loops carry no per-position `i != value` branch.
-            let (lo, rest) = ones.split_at_mut(value);
-            let (value_slot, hi) = rest.split_first_mut().expect("value < domain");
-            for one in lo.iter_mut() {
-                *one += u64::from(rng.next_u64() < self.thresh_q);
-            }
-            for one in hi.iter_mut() {
-                *one += u64::from(rng.next_u64() < self.thresh_q);
-            }
-            if rng.random::<f64>() < OUE_P {
-                *value_slot += 1;
-            }
-            return Ok(());
-        }
-        // Sparse regime: geometric skips between the rare reported 1s.
-        self.sparse_walk(value, rng, &mut |i| ones[i] += 1);
-        Ok(())
-    }
-
     /// Run one full collection round into a reused ones-count buffer —
     /// zero heap allocations once `ones` has reached domain capacity.
     ///
-    /// [`crate::ReportMode::PerUser`] folds every reporter through the
-    /// fused [`Self::perturb_tally_into`] kernel.
-    /// [`crate::ReportMode::Aggregate`] counts the true values in place
-    /// and then replaces each count `c_j` with
+    /// [`crate::ReportMode::PerUser`] draws one Philox key from `rng` and
+    /// runs the blocked kernel ([`Self::collect_ones_blocked`]) over
+    /// reporter rows `0..n`. [`crate::ReportMode::Aggregate`] counts the
+    /// true values in place and then replaces each count `c_j` with
     /// `Binomial(c_j, p) + Binomial(n − c_j, q)` — the same sampling order
-    /// as the allocating path, so the random stream is unchanged.
+    /// as the allocating path, so the random stream is unchanged. An empty
+    /// round draws nothing.
     pub fn collect_ones_into<R: Rng + ?Sized>(
         &self,
         values: &[usize],
@@ -343,9 +277,7 @@ impl Oue {
         }
         match mode {
             crate::oracle::ReportMode::PerUser => {
-                for &v in values {
-                    self.perturb_tally_into(v, ones, rng)?;
-                }
+                self.collect_ones_blocked(values, 0, &Philox::new(rng.random()), ones)
             }
             crate::oracle::ReportMode::Aggregate => {
                 for &v in values {
@@ -359,20 +291,20 @@ impl Oue {
                     *c = binomial::sample(truth, OUE_P, rng)
                         + binomial::sample(n - truth, self.q, rng);
                 }
+                Ok(())
             }
         }
-        Ok(())
     }
 
     /// Whether the blocked kernel runs its dense regime at this `q`
-    /// (determines how [`crate::CollectionKernel::Blocked`] rounds shard:
-    /// dense shards the *domain* range, sparse the reporter range).
+    /// (determines how pooled rounds shard: dense shards the *domain*
+    /// range, sparse the reporter range).
     pub fn blocked_dense(&self) -> bool {
         self.q >= BLOCKED_DENSE_MIN_Q
     }
 
     /// Run one full collection round with the **blocked counter-based
-    /// kernel** ([`crate::CollectionKernel::Blocked`]): every
+    /// kernel**, the only per-user OUE kernel: every
     /// `(reporter, position)` Bernoulli draw is addressed as a pure
     /// function of `ph`'s key, the reporter's global row `base + i` and
     /// the position — no sequential RNG state anywhere in the round.
@@ -390,9 +322,8 @@ impl Oue {
     ///
     /// Because every draw is addressed, the merged counts are invariant
     /// to how the `(reporter × position)` rectangle is partitioned — a
-    /// pooled round is bit-identical to this sequential one at any
-    /// thread count. The stream differs from the sequential kernel's, so
-    /// the two kernels are distinct members of the determinism contract.
+    /// pooled round is bit-identical to this unsharded one at any
+    /// thread count.
     pub fn collect_ones_blocked(
         &self,
         values: &[usize],

@@ -1,14 +1,18 @@
-//! Pins for the blocked counter-based collection kernel: the blocked
-//! kernel must produce per-position ones counts from exactly the same
-//! distribution as the frozen report-buffer reference
-//! (`perturb_into` + `tally_into`) in both the dense and sparse regimes,
-//! and its output must be invariant to how the `(reporter × domain)`
-//! rectangle is partitioned — the property the pooled collection path is
-//! built on.
+//! Pins for the collection rounds of `Oue`. The blocked counter-based
+//! kernel — the only per-user kernel — must produce per-position ones
+//! counts from exactly the same distribution as the report-buffer
+//! reference (`perturb_into` + `tally_into`) in both the dense and sparse
+//! regimes, and its output must be invariant to how the
+//! `(reporter × domain)` rectangle is partitioned — the property the
+//! pooled collection path is built on. The round-level API must route
+//! PerUser rounds through that kernel, the in-place Aggregate round must
+//! reproduce the historical allocating path bit-for-bit (same random
+//! stream), and `debias_into` must match `debias`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use retrasyn_ldp::{BitReport, Oue, Philox};
+use retrasyn_ldp::oue::OUE_P;
+use retrasyn_ldp::{binomial, BitReport, Oue, Philox, ReportMode};
 
 /// Two-sample chi-square statistic between histograms `a` and `b` (unequal
 /// totals handled by the usual √(N_b/N_a) weighting). Returns the
@@ -186,7 +190,8 @@ fn blocked_estimates_are_unbiased() {
 }
 
 /// Input validation: out-of-domain values and row bases that would
-/// overflow the 32-bit counter word are rejected, in both regimes.
+/// overflow the 32-bit counter word are rejected, in both regimes, and
+/// out-of-domain values surface from the round-level API in both modes.
 #[test]
 fn blocked_kernel_validates_inputs() {
     for eps in [1.0, 3.5] {
@@ -197,5 +202,74 @@ fn blocked_kernel_validates_inputs() {
         assert!(oue.collect_ones_blocked(&[0, 1], u32::MAX - 1, &ph, &mut ones).is_err());
         // Base + values.len() just fitting is fine.
         assert!(oue.collect_ones_blocked(&[0, 1], u32::MAX - 2, &ph, &mut ones).is_ok());
+        let mut rng = StdRng::seed_from_u64(0);
+        for mode in [ReportMode::PerUser, ReportMode::Aggregate] {
+            assert!(oue.collect_ones_into(&[0, 9], mode, &mut ones, &mut rng).is_err(), "{mode:?}");
+        }
     }
+}
+
+/// A PerUser round through the round-level API is the blocked kernel
+/// keyed by exactly one `u64` drawn from the caller's RNG, in both
+/// regimes; an empty round draws nothing.
+#[test]
+fn per_user_round_is_blocked_kernel_keyed_from_rng() {
+    for eps in [1.0, 3.5] {
+        let oue = Oue::new(eps, 100).unwrap();
+        let values: Vec<usize> = (0..300).map(|i| (i * 31 + 4) % 100).collect();
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut ones = Vec::new();
+        oue.collect_ones_into(&values, ReportMode::PerUser, &mut ones, &mut rng).unwrap();
+        let after: u64 = rng.random();
+
+        let mut rng = StdRng::seed_from_u64(17);
+        let expect = blocked_ones(&oue, &values, &Philox::new(rng.random()));
+        assert_eq!(ones, expect, "eps={eps}");
+        assert_eq!(after, rng.random::<u64>(), "eps={eps}: one key per round");
+
+        let mut rng = StdRng::seed_from_u64(17);
+        oue.collect_ones_into(&[], ReportMode::PerUser, &mut ones, &mut rng).unwrap();
+        assert_eq!(ones, vec![0u64; 100]);
+        assert_eq!(rng.random::<u64>(), StdRng::seed_from_u64(17).random::<u64>());
+    }
+}
+
+/// The in-place Aggregate round must consume the random stream exactly as
+/// the historical allocating path did: true counts first, then per
+/// position one Binomial(c, p) draw followed by one Binomial(n − c, q)
+/// draw, in position order.
+#[test]
+fn aggregate_round_preserves_historical_random_stream() {
+    let domain = 40;
+    let oue = Oue::new(1.2, domain).unwrap();
+    let values: Vec<usize> = (0..900).map(|i| (7 * i) % domain).collect();
+    let n = values.len() as u64;
+
+    // Historical reference, replayed inline.
+    let mut rng = StdRng::seed_from_u64(77);
+    let mut counts = vec![0u64; domain];
+    for &v in &values {
+        counts[v] += 1;
+    }
+    let expected: Vec<u64> = counts
+        .iter()
+        .map(|&c| binomial::sample(c, OUE_P, &mut rng) + binomial::sample(n - c, oue.q(), &mut rng))
+        .collect();
+
+    let mut rng = StdRng::seed_from_u64(77);
+    let mut ones = Vec::new();
+    oue.collect_ones_into(&values, ReportMode::Aggregate, &mut ones, &mut rng).unwrap();
+    assert_eq!(ones, expected);
+}
+
+#[test]
+fn debias_into_matches_debias_and_reuses_buffer() {
+    let oue = Oue::new(0.8, 16).unwrap();
+    let ones: Vec<u64> = (0..16).map(|i| (i * i * 13) % 257).collect();
+    let mut out = vec![9.0; 3];
+    oue.debias_into(&ones, 1000, &mut out);
+    assert_eq!(out, oue.debias(&ones, 1000));
+    // n = 0 resets to zeros.
+    oue.debias_into(&ones, 0, &mut out);
+    assert_eq!(out, vec![0.0; 16]);
 }

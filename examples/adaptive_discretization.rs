@@ -36,7 +36,7 @@ fn main() {
     let sample: Vec<Point> =
         (0..5).flat_map(|t| dataset.active_points(t).map(|(_, p)| *p)).collect();
     let quad = QuadGrid::fit(BoundingBox::unit(), &sample, 12, DEPTH);
-    let fine = UniformGrid::unit(1 << DEPTH);
+    let fine = Grid::unit(1 << DEPTH);
 
     // 3. Both spaces compile into the same flat `Topology` the whole
     //    pipeline runs on; the engine never knows which one it got.

@@ -93,8 +93,7 @@ pub mod prelude {
     };
     pub use retrasyn_geo::{
         BoundingBox, CellId, EventTimeline, Grid, GriddedDataset, Point, QuadGrid, QuadLeaf, Space,
-        SpaceDescriptor, StreamDataset, Topology, Trajectory, TransitionTable, UniformGrid,
-        UserEvent,
+        SpaceDescriptor, StreamDataset, Topology, Trajectory, TransitionTable, UserEvent,
     };
     pub use retrasyn_ldp::{Oue, PrivacyBudget, WEventLedger};
     pub use retrasyn_metrics::{MetricSuite, SuiteConfig};
