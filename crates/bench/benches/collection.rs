@@ -1,7 +1,7 @@
 //! Collection-round benches: the blocked counter-based kernel (the only
 //! per-user OUE kernel) against the report-buffer reference at the
 //! acceptance configuration (n = 100k reporters, d = 4096, ε = 1), plus
-//! the sharded [`CollectionPool`] thread sweep.
+//! the sharded [`collect_ones_sharded`] thread sweep.
 //!
 //! The `blocked` arm is gated: `validate_baselines.py` fails the run if
 //! its median is not ≥ 3.9× faster than the `report_buffer_reference`
@@ -19,10 +19,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use retrasyn_core::CollectionPool;
+use retrasyn_core::collect_ones_sharded;
 use retrasyn_ldp::{BitReport, Oue, Philox, ReportMode};
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Duration;
 
 const USERS: usize = 100_000;
@@ -76,20 +75,19 @@ fn bench_blocked_vs_reference(c: &mut Criterion) {
 }
 
 fn bench_blocked_thread_sweep(c: &mut Criterion) {
-    // The blocked pooled round shards the *domain* (dense regime at
-    // ε = 1), so worker accumulator tiles are disjoint and the merge is
-    // a stitch; output is bit-identical across the sweep.
+    // The blocked sharded round shards the *domain* (dense regime at
+    // ε = 1), so each thread writes its own disjoint range of the output;
+    // output is bit-identical across the sweep.
     let mut group = c.benchmark_group("collection_blocked_pool_100k_d4096");
     group.sample_size(10).measurement_time(Duration::from_secs(3));
-    let oracle = Arc::new(Oue::new(1.0, DOMAIN).unwrap());
+    let oracle = Oue::new(1.0, DOMAIN).unwrap();
     let values = values();
     let ph = Philox::new(0x0b10_cced_0000_0002);
     for threads in [1usize, 2, 4] {
-        let mut pool = CollectionPool::new(threads);
         let mut ones = Vec::new();
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
+        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &threads| {
             b.iter(|| {
-                pool.collect_ones_blocked(&oracle, black_box(&values), &ph, &mut ones).unwrap();
+                collect_ones_sharded(threads, &oracle, black_box(&values), &ph, &mut ones).unwrap();
                 black_box(ones.iter().sum::<u64>())
             })
         });

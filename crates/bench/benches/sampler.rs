@@ -47,7 +47,7 @@ fn bench_cached_model_draw(c: &mut Criterion) {
     let mut model = GlobalMobilityModel::new(table.len());
     model.replace_all(&informed_freqs(&table));
     model.rebuild_samplers(&table);
-    let cache = model.sampler().unwrap().clone();
+    let cache = model.sampler().unwrap();
     let cells: Vec<_> = grid.cells().collect();
     {
         let mut rng = StdRng::seed_from_u64(2);

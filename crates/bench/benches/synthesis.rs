@@ -102,9 +102,9 @@ fn bench_step_100k_grid32(c: &mut Criterion) {
 
 fn bench_size_adjustment(c: &mut Criterion) {
     // Worst case: a 20% population swing in one tick — sequentially and
-    // through the pooled two-phase selection (quit draws + per-shard
-    // Efraimidis–Spirakis keys on the workers, global cut on the caller,
-    // pooled retirement + extension).
+    // through the sharded two-phase selection (quit draws + per-shard
+    // Efraimidis–Spirakis keys on the shard threads, global cut on the
+    // caller, sharded retirement + extension).
     let mut group = c.benchmark_group("synthesis_size_swing_5000");
     group.sample_size(10).measurement_time(Duration::from_millis(900));
     let grid = Grid::unit(6);
@@ -131,7 +131,7 @@ fn bench_size_adjustment(c: &mut Criterion) {
                 let mut db = SyntheticDb::new();
                 let mut rng = StdRng::seed_from_u64(9);
                 db.step(0, &model, &table, 5000, 30.0, &mut rng);
-                // Warm step creates the worker pool outside the measured
+                // Warm step sizes the shard buffers outside the measured
                 // region.
                 db.step_parallel(1, &model, &table, 5000, 30.0, &mut rng, 4);
                 (db, StdRng::seed_from_u64(10))
@@ -148,8 +148,8 @@ fn bench_size_adjustment(c: &mut Criterion) {
 
 fn bench_parallel_step(c: &mut Criterion) {
     // The paper's future-work acceleration (§VII): parallel synthesis.
-    // `step_parallel` now runs the whole step (quit + shrink + extend) on
-    // the pool.
+    // `step_parallel` runs quit + shrink + extend on scoped shard
+    // threads.
     let mut group = c.benchmark_group("synthesis_step_20000_threads");
     group.sample_size(10).measurement_time(Duration::from_millis(900));
     let grid = Grid::unit(6);
@@ -162,7 +162,7 @@ fn bench_parallel_step(c: &mut Criterion) {
                     let mut db = SyntheticDb::new();
                     let mut rng = StdRng::seed_from_u64(7);
                     db.step(0, &model, &table, 20_000, 30.0, &mut rng);
-                    // Warm step creates the worker pool outside the
+                    // Warm step sizes the shard buffers outside the
                     // measured region.
                     db.step_parallel(1, &model, &table, 20_000, 30.0, &mut rng, threads);
                     (db, StdRng::seed_from_u64(8))
@@ -180,7 +180,7 @@ fn bench_parallel_step(c: &mut Criterion) {
 
 fn bench_parallel_step_100k(c: &mut Criterion) {
     // The acceptance target for full sharding: 100k users on a 32×32 grid
-    // through the fully sharded pooled step over the columnar store
+    // through the fully sharded step over the columnar store
     // (disjoint index-range shards, per-shard tail buffers relocated at
     // the merge). The PR-1 extension-only reference was dropped with the
     // storage refactor — the comparison stopped being meaningful once
@@ -200,7 +200,7 @@ fn bench_parallel_step_100k(c: &mut Criterion) {
                     for t in 0..4 {
                         db.step(t, &model, &table, population, 30.0, &mut rng);
                     }
-                    // Warm step creates the worker pool outside
+                    // Warm step sizes the shard buffers outside
                     // the measured region.
                     db.step_parallel(4, &model, &table, population, 30.0, &mut rng, threads);
                     (db, StdRng::seed_from_u64(8))

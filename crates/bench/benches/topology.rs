@@ -30,7 +30,7 @@ fn cached_sampler(topology: &Topology) -> (TransitionTable, SamplerCache) {
     let mut model = GlobalMobilityModel::new(table.len());
     model.replace_all(&informed_freqs(table.len()));
     model.rebuild_samplers(&table);
-    let cache = model.sampler().expect("cache built").as_ref().clone();
+    let cache = model.sampler().expect("cache built").clone();
     (table, cache)
 }
 

@@ -26,8 +26,7 @@
 //! a session driven by a [`crate::TimelineSource`].
 
 use crate::allocation::{AllocationKind, Allocator};
-use crate::collect::CollectError;
-use crate::collect::CollectionPool;
+use crate::collect::{collect_ones_sharded, CollectError};
 use crate::compact::CompactionStats;
 use crate::config::{Division, RetraSynConfig};
 use crate::dmu;
@@ -126,12 +125,8 @@ pub struct RetraSyn {
     report_slots: BTreeMap<u64, u64>,
     /// Cached collection oracle, rebuilt only when `(ε, domain)` changes —
     /// the collection path runs every timestamp and must not rebuild its
-    /// mechanism per step. `Arc` so pooled collection workers share a
-    /// snapshot without cloning the mechanism's skip table.
-    oracle: Option<Arc<Oue>>,
-    /// Persistent collection worker pool, created lazily on the first
-    /// collection round with `collection_threads > 1`.
-    collector: Option<CollectionPool>,
+    /// mechanism per step.
+    oracle: Option<Oue>,
     timings: StepTimings,
     steps: u64,
     /// Counters for the epoch compactions this session has run
@@ -196,7 +191,6 @@ impl RetraSyn {
             fixed_size: None,
             report_slots: BTreeMap::new(),
             oracle: None,
-            collector: None,
             timings: StepTimings::default(),
             steps: 0,
             compaction_stats: CompactionStats::default(),
@@ -323,9 +317,10 @@ impl RetraSyn {
     /// mis-tallying malformed input in release mode). For well-formed
     /// input the step is bit-identical to what it always was.
     ///
-    /// A *mid-step* error (collection or pool failure) leaves the session
-    /// in an unspecified state: recover it from its WAL (e.g. via a
-    /// [`Supervisor`](crate::supervise::Supervisor)) or [`Self::reset`].
+    /// A *mid-step* error (collection failure or a panicking shard
+    /// thread) leaves the session in an unspecified state: recover it from
+    /// its WAL (e.g. via a [`Supervisor`](crate::supervise::Supervisor))
+    /// or [`Self::reset`].
     pub fn try_step(&mut self, t: u64, events: &[UserEvent]) -> Result<StepOutcome, SessionError> {
         if self.released {
             return Err(SessionError::Released);
@@ -494,10 +489,10 @@ impl RetraSyn {
 
     /// Start a new session: restore the freshly-constructed state in
     /// place, re-seeded with the construction seed — replaying the same
-    /// events yields a bit-identical release. Worker pools, the cached
-    /// collection oracle and all scratch buffers survive the reset (they
-    /// are pure functions of the configuration, which is untouched), so
-    /// back-to-back sessions spawn no new threads and re-allocate nothing.
+    /// events yields a bit-identical release. The cached collection oracle
+    /// and all scratch buffers survive the reset (they are pure functions
+    /// of the configuration, which is untouched), so back-to-back sessions
+    /// re-allocate nothing.
     pub fn reset(&mut self) {
         self.model.reset();
         self.registry.reset();
@@ -775,17 +770,16 @@ impl RetraSyn {
     /// counter-based kernel, keyed by exactly **one** draw from the
     /// session RNG, so their output is bit-identical at every
     /// `collection_threads` value; with more than one thread the round is
-    /// sharded across the persistent [`CollectionPool`]. The O(domain)
-    /// `Aggregate` shortcut has no per-user pass to shard and always runs
-    /// sequentially. Every buffer involved is engine scratch — zero heap
-    /// allocations after warm-up.
+    /// sharded across scoped threads ([`collect_ones_sharded`]). The
+    /// O(domain) `Aggregate` shortcut has no per-user pass to shard and
+    /// always runs sequentially.
     ///
     /// The collected states are in domain by construction (the `try_step`
     /// pre-pass validated every event), so a mechanism error here is a
     /// genuine mid-step fault — surfaced as a typed [`SessionError`]
     /// rather than the historical `.expect("states are in domain")`
-    /// aborts. A dead pool worker additionally drops the poisoned
-    /// collection pool so post-recovery rounds spawn a fresh one.
+    /// aborts. A panicking shard thread surfaces as
+    /// [`SessionError::Pool`].
     fn run_collection(&mut self, eps: f64) -> Result<(), SessionError> {
         let n = self.scratch_values.len() as u64;
         if n == 0 {
@@ -793,21 +787,18 @@ impl RetraSyn {
             return Ok(());
         }
         self.ensure_oracle(eps, self.domain_len().max(2));
-        let oracle = Arc::clone(self.oracle.as_ref().expect("ensured above"));
-        let values = std::mem::take(&mut self.scratch_values);
+        let oracle = self.oracle.as_ref().expect("ensured above");
+        let values = &self.scratch_values;
         let mode = self.config.report_mode;
-        let result: Result<(), CollectError> =
-            if mode == ReportMode::PerUser && self.config.collection_threads > 1 {
-                let ph = Philox::new(self.rng.random());
-                let threads = self.config.collection_threads;
-                let pool = self.collector.get_or_insert_with(|| CollectionPool::new(threads));
-                pool.collect_ones_blocked(&oracle, &values, &ph, &mut self.scratch_ones).map(|_| ())
-            } else {
-                oracle
-                    .collect_ones_into(&values, mode, &mut self.scratch_ones, &mut self.rng)
-                    .map_err(CollectError::Ldp)
-            };
-        self.scratch_values = values;
+        let threads = self.config.collection_threads;
+        let result: Result<(), CollectError> = if mode == ReportMode::PerUser && threads > 1 {
+            let ph = Philox::new(self.rng.random());
+            collect_ones_sharded(threads, oracle, values, &ph, &mut self.scratch_ones).map(|_| ())
+        } else {
+            oracle
+                .collect_ones_into(values, mode, &mut self.scratch_ones, &mut self.rng)
+                .map_err(CollectError::Ldp)
+        };
         match result {
             Ok(()) => {
                 oracle.debias_into(&self.scratch_ones, n, &mut self.scratch_est.freqs);
@@ -815,10 +806,7 @@ impl RetraSyn {
                 self.scratch_est.variance = oracle.variance(n);
                 Ok(())
             }
-            Err(CollectError::Pool(e)) => {
-                self.collector = None;
-                Err(SessionError::Pool(e))
-            }
+            Err(CollectError::Pool(e)) => Err(SessionError::Pool(e)),
             Err(CollectError::Ldp(e)) => Err(SessionError::Collection { detail: e.to_string() }),
         }
     }
@@ -829,7 +817,7 @@ impl RetraSyn {
     fn ensure_oracle(&mut self, eps: f64, domain: usize) {
         let fresh = matches!(&self.oracle, Some(o) if o.eps() == eps && o.domain() == domain);
         if !fresh {
-            self.oracle = Some(Arc::new(Oue::new(eps, domain).expect("validated positive eps")));
+            self.oracle = Some(Oue::new(eps, domain).expect("validated positive eps"));
         }
     }
 

@@ -23,12 +23,12 @@
 //! - [`sampler`]: the alias-table sampler subsystem behind the real-time
 //!   budget (§IV-B) — O(1) movement/enter draws through a [`SamplerCache`]
 //!   owned by the model and rebuilt incrementally after each DMU step.
-//! - [`pool`]: the task-generic persistent worker pool (§VII
-//!   acceleration), instantiated by both the synthesis and the collection
-//!   pipelines.
-//! - [`collect`]: the sharded LDP collection pipeline — each round of the
-//!   blocked counter-based kernel split into disjoint domain or reporter
-//!   ranges, bit-identical to the unsharded round at any thread count.
+//! - [`pool`]: scoped shard dispatch (§VII acceleration) — one thread per
+//!   shard, joined before the pass returns — used by both the synthesis
+//!   and the collection passes.
+//! - [`collect`]: sharded LDP collection — each round of the blocked
+//!   counter-based kernel split into disjoint domain or reporter ranges,
+//!   bit-identical to the unsharded round at any thread count.
 //! - [`session`]: the streaming session API — the [`StreamingEngine`]
 //!   trait unifying [`RetraSyn`] and the [`LdpIds`] baselines
 //!   (`step` / `snapshot` / `release` / `ledger`), plus pluggable
@@ -84,13 +84,13 @@ pub mod wal;
 
 pub use allocation::AllocationKind;
 pub use baselines::{BaselineKind, LdpIds, LdpIdsConfig};
-pub use collect::{CollectError, CollectionPool};
+pub use collect::{collect_ones_sharded, CollectError};
 pub use compact::{CompactionPolicy, CompactionStats};
 pub use config::{Division, RetraSynConfig};
 pub use engine::{RetraSyn, StepTimings, TimingReport};
 pub use ingest::{IngestPolicy, IngestStats, QuarantinedEvent, ValidatedSource};
 pub use model::GlobalMobilityModel;
-pub use pool::{PoolError, SynthesisPool};
+pub use pool::PoolError;
 pub use population::{UserRegistry, UserStatus};
 pub use retrasyn_ldp::CollectionKernel;
 pub use sampler::{AliasTable, SamplerCache};

@@ -18,8 +18,8 @@
 //! - [`sample_weighted`]: the reference O(n) scan sampler, kept for the
 //!   cold paths, the cache-miss fallback, and distributional tests.
 //!
-//! The cache is shared with the persistent synthesis worker pool through an
-//! `Arc`, so a step hands workers an immutable snapshot without copying.
+//! The model owns the cache; the sharded synthesis passes borrow it
+//! read-only, so a step hands its shard threads the cache without copying.
 
 use rand::Rng;
 use retrasyn_geo::{CellId, TransitionTable};

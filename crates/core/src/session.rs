@@ -154,9 +154,9 @@ pub enum SessionError {
         /// The underlying mechanism error.
         detail: String,
     },
-    /// A worker pool died mid-step (a worker panicked or hung up). The
-    /// owning engine drops the poisoned pool; a fresh one is spawned on
-    /// the next parallel step after recovery.
+    /// A shard thread panicked mid-step. Shard threads live for one pass,
+    /// so nothing needs dropping: recover or reset the session and step
+    /// on.
     Pool(PoolError),
     /// A checkpoint could not be written or restored.
     Checkpoint {
@@ -649,8 +649,8 @@ pub trait StreamingEngine {
 
     /// Begin a new session: restore the engine to its freshly-constructed
     /// state, re-seeded with the construction seed (an identical replay
-    /// yields a bit-identical release). Warm resources — worker pools,
-    /// scratch buffers, arena chunks — are retained, so resetting (and
+    /// yields a bit-identical release). Warm resources — scratch buffers,
+    /// arena chunks — are retained, so resetting (and
     /// recovery replay, which starts with one) is cheap.
     fn reset(&mut self);
 

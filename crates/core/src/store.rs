@@ -264,12 +264,6 @@ impl Columns {
         self.heads.len()
     }
 
-    /// Whether there are no rows.
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.heads.is_empty()
-    }
-
     /// Drop all rows, keeping capacity.
     pub(crate) fn clear(&mut self) {
         self.heads.clear();

@@ -23,15 +23,15 @@
 //! over a reused scratch buffer, so standalone callers that never call
 //! [`GlobalMobilityModel::rebuild_samplers`] still get correct output.
 //!
-//! **Parallelism.** [`SyntheticDb::step_parallel`] runs the *entire* step
-//! on a persistent [`SynthesisPool`] owned by the database: disjoint index
-//! ranges of the store's head columns are copied into per-worker
-//! `ShardState`s (five `memcpy`s per shard, reused across steps), each
-//! worker runs the fused quit+extend pass over its columns with a
-//! per-shard finished region and a private tail buffer, and downward size
-//! adjustment is a two-phase parallel selection — workers compute
-//! Efraimidis–Spirakis keys per shard, the caller makes the global
-//! top-`excess` cut, workers retire their victims and extend the
+//! **Parallelism.** [`SyntheticDb::step_parallel`] runs the quit and
+//! extend passes on scoped shard threads (`pool::run_shards`):
+//! disjoint index ranges of the store's head columns are copied into
+//! per-shard `ShardState`s (five `memcpy`s per shard, reused across
+//! steps), each shard thread runs the fused quit+extend pass over its
+//! columns with a per-shard finished region and a private tail buffer,
+//! and downward size adjustment is a two-phase parallel selection —
+//! shards compute Efraimidis–Spirakis keys, the caller makes the global
+//! top-`excess` cut, shards retire their victims and extend the
 //! remainder. The merge relocates each shard's tail buffer into the shared
 //! arena in shard order and offsets the survivors' links, so a fixed
 //! `(seed, threads)` gives identical output.
@@ -41,18 +41,52 @@
 //! whose streams never terminate.
 
 use crate::model::GlobalMobilityModel;
-use crate::pool::{draw_seeds, PoolError, ShardState, ShardTask, SynthesisPool, MIN_SHRINK_WEIGHT};
+use crate::pool::{run_shards, PoolError};
 use crate::sampler::{sample_weighted, SamplerCache};
-use crate::store::{Addr, Columns, SnapshotView, StreamStore, TailArena, TailSink};
+use crate::store::{Addr, Columns, SnapshotView, StreamStore, TailArena, TailNode, TailSink};
 use crate::wal::{Dec, Enc};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use retrasyn_geo::{CellId, GriddedDataset, Space, TransitionTable};
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 /// Below this population the parallel step falls back to the sequential
 /// path: dispatch overhead dominates the per-stream work.
 const MIN_PARALLEL: usize = 2048;
+
+/// Floor for Efraimidis–Spirakis weights so zero-mass cells keep a strict
+/// ordering (shared by the sequential and sharded shrink paths).
+const MIN_SHRINK_WEIGHT: f64 = 1e-12;
+
+/// One shard's slice of the synthetic database plus its reusable result
+/// buffers. Buffers keep their capacity across steps, so the steady-state
+/// step performs no heap allocation.
+#[derive(Debug, Clone, Default)]
+struct ShardState {
+    /// The live stream columns owned by this shard (a disjoint index range
+    /// of the store's live columns).
+    cols: Columns,
+    /// Columns of streams retired by this shard during the current step;
+    /// drained into the store's finished region when shards merge
+    /// (id-sorted at `finish`).
+    finished: Columns,
+    /// Tail nodes appended by this shard during the current pass, with
+    /// shard-local addresses; the merge relocates them into the shared
+    /// arena and offsets the survivors' links.
+    appended: Vec<TailNode>,
+    /// Efraimidis–Spirakis keys, parallel to `cols` after the quit+keys
+    /// pass.
+    keys: Vec<f64>,
+    /// Victim positions for the retire+extend pass, sorted descending.
+    victims: Vec<u32>,
+}
+
+/// Draw one seed per shard from the caller's RNG, in shard order, into the
+/// reusable `seeds` buffer.
+fn draw_seeds<R: Rng + ?Sized>(seeds: &mut Vec<u64>, count: usize, rng: &mut R) {
+    seeds.clear();
+    seeds.extend((0..count).map(|_| rng.random::<u64>()));
+}
 
 /// Descending order over Efraimidis–Spirakis keys with a deterministic
 /// `(shard, position)` tiebreak, so the global top-`excess` cut selects a
@@ -71,10 +105,10 @@ fn cmp_keys_desc(a: &(f64, u32, u32), b: &(f64, u32, u32)) -> Ordering {
 
 /// Extend every stream by one alias-sampled movement: contiguous walk over
 /// the head column, one appended tail node per stream. Shared by the
-/// sequential cached paths and the pool workers so the two can never
+/// sequential cached paths and the shard threads so the two can never
 /// diverge (the sink is the global arena sequentially, a shard-local
-/// buffer in workers).
-pub(crate) fn extend_cols<R: Rng + ?Sized, S: TailSink>(
+/// buffer in a shard).
+fn extend_cols<R: Rng + ?Sized, S: TailSink>(
     cols: &mut Columns,
     sink: &mut S,
     cache: &SamplerCache,
@@ -90,8 +124,8 @@ pub(crate) fn extend_cols<R: Rng + ?Sized, S: TailSink>(
 /// quitters are `swap_remove`d into the `finished` columns (the swapped-in
 /// stream is decided next, so the pass moves O(quits) rows), survivors
 /// optionally extend in the same pass. Shared by the sequential cached
-/// paths and the pool workers so the two can never diverge.
-pub(crate) fn quit_pass_cols<R: Rng + ?Sized, S: TailSink>(
+/// paths and the shard threads so the two can never diverge.
+fn quit_pass_cols<R: Rng + ?Sized, S: TailSink>(
     cols: &mut Columns,
     finished: &mut Columns,
     sink: &mut S,
@@ -118,15 +152,13 @@ pub(crate) fn quit_pass_cols<R: Rng + ?Sized, S: TailSink>(
 }
 
 /// The evolving synthetic trajectory database `T_syn`.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SyntheticDb {
     store: StreamStore,
     next_id: u64,
     initialized: bool,
-    /// Persistent worker pool, created lazily on the first parallel step.
-    pool: Option<SynthesisPool>,
-    /// Reused per-worker shard states (columns, tail buffers, key and
-    /// victim buffers all keep their capacity across steps).
+    /// Reused per-shard states (columns, tail buffers, key and victim
+    /// buffers all keep their capacity across steps).
     shards: Vec<ShardState>,
     /// Reused per-shard seed buffer.
     seeds: Vec<u64>,
@@ -136,35 +168,11 @@ pub struct SyntheticDb {
     keyed: Vec<(f64, u32, u32)>,
     /// Reused victim-position buffer for the sequential shrink path.
     victims: Vec<u32>,
-    /// Reused enter-cell buffer for the pooled upward adjustment (cells
-    /// drawn sequentially on the caller, appended on the workers).
-    spawn_cells: Vec<CellId>,
     /// Reused spare arena epoch compaction rebuilds into (swapped with the
     /// store's, so chunk allocations recycle across runs).
     compact_spare: TailArena,
     /// Reused cell buffer for compaction chain walks.
     compact_scratch: Vec<CellId>,
-}
-
-impl Clone for SyntheticDb {
-    fn clone(&self) -> Self {
-        // Worker pools are not cloneable state: the clone re-creates its
-        // own lazily on the first parallel step.
-        SyntheticDb {
-            store: self.store.clone(),
-            next_id: self.next_id,
-            initialized: self.initialized,
-            pool: None,
-            shards: Vec::new(),
-            seeds: Vec::new(),
-            scan_buf: Vec::new(),
-            keyed: Vec::new(),
-            victims: Vec::new(),
-            spawn_cells: Vec::new(),
-            compact_spare: TailArena::default(),
-            compact_scratch: Vec::new(),
-        }
-    }
 }
 
 impl SyntheticDb {
@@ -205,8 +213,8 @@ impl SyntheticDb {
     }
 
     /// Reset to a fresh, uninitialized session in place: all stream
-    /// storage is dropped (ids restart at 0) while the worker pool, arena
-    /// chunks and every scratch buffer keep their allocations.
+    /// storage is dropped (ids restart at 0) while the arena chunks and
+    /// every scratch buffer keep their allocations.
     pub fn reset(&mut self) {
         self.store.reset();
         self.next_id = 0;
@@ -221,8 +229,8 @@ impl SyntheticDb {
         self.store.encode_into(enc);
     }
 
-    /// Restore from [`Self::encode_into`] output, keeping the worker pool
-    /// and scratch buffers.
+    /// Restore from [`Self::encode_into`] output, keeping the scratch
+    /// buffers.
     pub(crate) fn decode_from(&mut self, dec: &mut Dec) -> Result<(), String> {
         self.next_id = dec.u64()?;
         self.initialized = dec.u8()? != 0;
@@ -252,11 +260,11 @@ impl SyntheticDb {
         lambda: f64,
         rng: &mut R,
     ) {
-        let cache = model.sampler().cloned();
+        let cache = model.sampler();
         if !self.initialized {
             // Initialization of T_syn (Alg. 1 line 5): spawn `target`
             // streams from the entering distribution.
-            self.spawn(t, model, table, cache.as_deref(), target, rng);
+            self.spawn(t, model, table, cache, target, rng);
             self.initialized = true;
             return;
         }
@@ -267,21 +275,21 @@ impl SyntheticDb {
             // into ONE compacting pass — per stream, one cached quit
             // probability, one alias draw, zero allocations, contiguous
             // column traffic.
-            self.quit_and_extend_fused(model, table, cache.as_deref(), lambda, rng);
+            self.quit_and_extend_fused(model, table, cache, lambda, rng);
         } else {
             // Phase 1a: natural termination via Eq. 8.
-            self.quit_phase(model, table, cache.as_deref(), lambda, rng);
+            self.quit_phase(model, table, cache, lambda, rng);
             // Phase 2a: size adjustment downward *before* extension, so
             // the terminated streams end at their `t−1` location.
-            self.shrink_to_target(model, table, cache.as_deref(), target, rng);
+            self.shrink_to_target(model, table, cache, target, rng);
             // Phase 1b: extension — survivors move to a neighbor drawn
             // from the movement distribution conditioned on not quitting.
-            self.extend_all(model, table, cache.as_deref(), rng);
+            self.extend_all(model, table, cache, rng);
         }
         // Phase 2b: size adjustment upward via the entering distribution.
         if self.store.live.len() < target {
             let missing = target - self.store.live.len();
-            self.spawn(t, model, table, cache.as_deref(), missing, rng);
+            self.spawn(t, model, table, cache, missing, rng);
         }
     }
 
@@ -457,35 +465,35 @@ impl SyntheticDb {
             self.initialized = true;
             return;
         }
-        self.extend_all(model, table, model.sampler().map(Arc::as_ref), rng);
+        self.extend_all(model, table, model.sampler(), rng);
     }
 
     /// Parallel variant of [`Self::step`] — the acceleration the paper
     /// names as future work (§VII: "study acceleration techniques (e.g.,
     /// parallel computing)").
     ///
-    /// The *entire* step runs on a persistent worker pool owned by this
-    /// database (created on first use, re-created if `threads` changes):
+    /// The quit and extend passes run on one scoped thread per shard
+    /// (`pool::run_shards`):
     ///
     /// - steady state (no shrink possible): one dispatch of the fused
     ///   quit+extend pass; quitters retire into per-shard finished columns;
-    /// - shrinking: two dispatches — workers draw quits and compute one
+    /// - shrinking: two dispatches — threads draw quits and compute one
     ///   Efraimidis–Spirakis key per survivor, the caller makes the global
-    ///   top-`excess` cut across all shards, then workers retire their
+    ///   top-`excess` cut across all shards, then threads retire their
     ///   victims and extend the remainder;
-    /// - growing: the caller draws the missing enter cells sequentially
-    ///   (preserving the sequential spawn's RNG stream exactly), then one
-    ///   dispatch appends the fresh rows on the workers.
+    /// - growing: the caller spawns the missing streams sequentially,
+    ///   exactly as [`Self::step`] does.
     ///
-    /// Shards are disjoint index ranges of the store's head columns;
-    /// workers receive them as owned column copies and return them in
-    /// place. Semantically identical invariants to [`Self::step`] (exact
-    /// size tracking, adjacency, identical per-stream decision
-    /// distributions); the random stream differs from the sequential path
-    /// but is deterministic for a fixed `(seed, threads)`. Falls back to
-    /// the sequential step for small databases where dispatch overhead
-    /// dominates, and whenever the model has no fresh [`SamplerCache`]
-    /// (workers sample exclusively through the cache snapshot).
+    /// Shards are disjoint index ranges of the store's head columns,
+    /// copied into reused per-shard columns; each thread borrows its shard
+    /// mutably and the sampler cache read-only. Semantically identical
+    /// invariants to [`Self::step`] (exact size tracking, adjacency,
+    /// identical per-stream decision distributions); the random stream
+    /// differs from the sequential path but is deterministic for a fixed
+    /// `(seed, threads)`. Falls back to the sequential step for small
+    /// databases where dispatch overhead dominates, and whenever the model
+    /// has no fresh [`SamplerCache`] (shards sample exclusively through
+    /// the cache).
     #[allow(clippy::too_many_arguments)]
     pub fn step_parallel<R: Rng + ?Sized>(
         &mut self,
@@ -503,12 +511,10 @@ impl SyntheticDb {
         }
     }
 
-    /// Fallible [`Self::step_parallel`]: a dead pool worker surfaces as a
-    /// typed [`PoolError`] instead of a panic. On `Err` the database is in
-    /// an unspecified state (the dead worker held shard columns) and the
-    /// poisoned pool has been dropped — the owning session must be
-    /// recovered or reset, after which the next parallel step re-spawns a
-    /// fresh pool.
+    /// Fallible [`Self::step_parallel`]: a panicking shard thread surfaces
+    /// as a typed [`PoolError`] instead of a panic. On `Err` the database
+    /// is in an unspecified state (the panicking shard's columns were left
+    /// half-processed) — the owning session must be recovered or reset.
     #[allow(clippy::too_many_arguments)]
     pub fn try_step_parallel<R: Rng + ?Sized>(
         &mut self,
@@ -520,67 +526,53 @@ impl SyntheticDb {
         rng: &mut R,
         threads: usize,
     ) -> Result<(), PoolError> {
-        let result = self.step_parallel_inner(t, model, table, target, lambda, rng, threads);
-        if result.is_err() {
-            self.pool = None;
-        }
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn step_parallel_inner<R: Rng + ?Sized>(
-        &mut self,
-        t: u64,
-        model: &GlobalMobilityModel,
-        table: &TransitionTable,
-        target: usize,
-        lambda: f64,
-        rng: &mut R,
-        threads: usize,
-    ) -> Result<(), PoolError> {
-        let cache = model.sampler().cloned();
-        let parallel_ok = threads > 1 && self.store.live.len() >= MIN_PARALLEL && cache.is_some();
-        if !parallel_ok {
-            self.step(t, model, table, target, lambda, rng);
-            return Ok(());
-        }
-        let cache: Arc<SamplerCache> = cache.unwrap();
+        let cache = match model.sampler() {
+            Some(cache) if threads > 1 && self.store.live.len() >= MIN_PARALLEL => cache,
+            _ => {
+                self.step(t, model, table, target, lambda, rng);
+                return Ok(());
+            }
+        };
         // An uninitialized database has no live streams, so the
         // MIN_PARALLEL guard above already routed initialization through
         // the sequential step.
         debug_assert!(self.initialized);
 
-        self.ensure_pool(threads);
         let live = self.store.live.len();
         let num_shards = self.shard_live(threads);
-        let pool = self.pool.as_ref().expect("pool created above");
+        let seeds = &mut self.seeds;
+        let shards = &mut self.shards[..num_shards];
         if live <= target {
             // Steady state: one dispatch of the fused quit+extend pass
             // (downward adjustment is impossible no matter how the quit
             // draws fall).
-            draw_seeds(&mut self.seeds, num_shards, rng);
-            pool.run_shards(
-                &mut self.shards[..num_shards],
-                &self.seeds,
-                &cache,
-                ShardTask::QuitExtend { lambda },
-            )?;
+            draw_seeds(seeds, num_shards, rng);
+            run_shards(shards, |idx, shard| {
+                let mut rng = StdRng::seed_from_u64(seeds[idx]);
+                let ShardState { cols, finished, appended, .. } = shard;
+                quit_pass_cols(cols, finished, appended, cache, lambda, true, &mut rng);
+            })?;
         } else {
             // Two-phase parallel downward adjustment. Pass 1: quit draws
             // plus one Efraimidis–Spirakis key per survivor, per shard.
-            draw_seeds(&mut self.seeds, num_shards, rng);
-            pool.run_shards(
-                &mut self.shards[..num_shards],
-                &self.seeds,
-                &cache,
-                ShardTask::QuitKeys { lambda },
-            )?;
+            draw_seeds(seeds, num_shards, rng);
+            run_shards(shards, |idx, shard| {
+                let mut rng = StdRng::seed_from_u64(seeds[idx]);
+                let ShardState { cols, finished, appended, keys, .. } = shard;
+                quit_pass_cols(cols, finished, appended, cache, lambda, false, &mut rng);
+                keys.clear();
+                for &head in &cols.heads {
+                    let w = cache.quit_weight(head).max(MIN_SHRINK_WEIGHT);
+                    let u: f64 = rng.random();
+                    keys.push(u.ln() / w);
+                }
+            })?;
             // Global top-`excess` cut over all shards' keys on the caller.
-            let survivors: usize = self.shards[..num_shards].iter().map(|s| s.cols.len()).sum();
+            let survivors: usize = shards.iter().map(|s| s.cols.len()).sum();
             let excess = survivors.saturating_sub(target);
             if excess > 0 {
                 self.keyed.clear();
-                for (si, shard) in self.shards[..num_shards].iter().enumerate() {
+                for (si, shard) in shards.iter().enumerate() {
                     debug_assert_eq!(shard.keys.len(), shard.cols.len());
                     for (pos, &key) in shard.keys.iter().enumerate() {
                         self.keyed.push((key, si as u32, pos as u32));
@@ -590,94 +582,42 @@ impl SyntheticDb {
                     self.keyed.select_nth_unstable_by(excess - 1, cmp_keys_desc);
                 }
                 for &(_, si, pos) in &self.keyed[..excess] {
-                    self.shards[si as usize].victims.push(pos);
+                    shards[si as usize].victims.push(pos);
                 }
-                for shard in &mut self.shards[..num_shards] {
-                    // Descending, so the workers' `swap_remove`s stay valid.
+                for shard in shards.iter_mut() {
+                    // Descending, so the shards' `swap_remove`s stay valid.
                     shard.victims.sort_unstable_by(|a, b| b.cmp(a));
                 }
             }
-            // Pass 2: workers retire their victims and extend the rest.
-            draw_seeds(&mut self.seeds, num_shards, rng);
-            pool.run_shards(
-                &mut self.shards[..num_shards],
-                &self.seeds,
-                &cache,
-                ShardTask::RetireExtend,
-            )?;
+            // Pass 2: shards retire their victims and extend the rest.
+            draw_seeds(seeds, num_shards, rng);
+            run_shards(shards, |idx, shard| {
+                let mut rng = StdRng::seed_from_u64(seeds[idx]);
+                // Victims arrive sorted descending, so each `swap_remove`
+                // moves a row from past the remaining victim positions.
+                for k in 0..shard.victims.len() {
+                    // xtask:order(victims arrive sorted descending, per the comment above)
+                    shard.cols.swap_remove_into(shard.victims[k] as usize, &mut shard.finished);
+                }
+                shard.victims.clear();
+                extend_cols(&mut shard.cols, &mut shard.appended, cache, &mut rng);
+            })?;
         }
         self.merge_shards(num_shards);
 
-        // Phase 2b: upward size adjustment, on the pool. The enter draws
-        // stay sequential on the caller (identical RNG consumption to the
-        // sequential spawn at every thread count); only the column
-        // appends move to the workers.
+        // Phase 2b: upward size adjustment, sequential on the caller — the
+        // same draws, in the same order, as the sequential step.
         if self.store.live.len() < target {
             let missing = target - self.store.live.len();
-            self.spawn_pooled(t, &cache, missing, rng)?;
+            self.spawn(t, model, table, Some(cache), missing, rng);
         }
         Ok(())
-    }
-
-    /// Pooled upward adjustment: draw `missing` enter cells sequentially
-    /// into the reused buffer — bit-for-bit the RNG consumption of the
-    /// sequential [`Self::spawn`] — then split the draws into contiguous
-    /// shard ranges with contiguous id ranges and run the row appends as
-    /// a [`ShardTask::Spawn`] pass. Merging in shard order restores draw
-    /// order, so the resulting store is identical to a sequential spawn
-    /// regardless of thread count.
-    fn spawn_pooled<R: Rng + ?Sized>(
-        &mut self,
-        t: u64,
-        cache: &Arc<SamplerCache>,
-        missing: usize,
-        rng: &mut R,
-    ) -> Result<(), PoolError> {
-        self.spawn_cells.clear();
-        self.spawn_cells.extend((0..missing).map(|_| cache.sample_enter(rng)));
-        let threads = self.pool.as_ref().expect("pool created above").threads();
-        let chunk_len = missing.div_ceil(threads).max(1);
-        let num_shards = missing.div_ceil(chunk_len);
-        if self.shards.len() < num_shards {
-            self.shards.resize_with(num_shards, ShardState::default);
-        }
-        for (k, shard) in self.shards[..num_shards].iter_mut().enumerate() {
-            let lo = k * chunk_len;
-            let hi = (lo + chunk_len).min(missing);
-            debug_assert!(shard.cols.is_empty(), "shards merged before spawn");
-            shard.spawn_cells.clear();
-            shard.spawn_cells.extend_from_slice(&self.spawn_cells[lo..hi]);
-            shard.spawn_base = self.next_id + lo as u64;
-        }
-        self.next_id += missing as u64;
-        // The spawn pass uses no worker randomness, so no per-shard seeds
-        // are drawn — the caller's RNG stream stays identical to the
-        // sequential spawn's.
-        self.seeds.clear();
-        self.seeds.resize(num_shards, 0);
-        let pool = self.pool.as_ref().expect("pool created above");
-        pool.run_shards(
-            &mut self.shards[..num_shards],
-            &self.seeds,
-            cache,
-            ShardTask::Spawn { t },
-        )?;
-        for shard in &mut self.shards[..num_shards] {
-            self.store.live.append(&mut shard.cols);
-        }
-        Ok(())
-    }
-
-    /// Create or resize the persistent pool for `threads` workers.
-    fn ensure_pool(&mut self, threads: usize) {
-        match &self.pool {
-            Some(pool) if pool.threads() == threads => {}
-            _ => self.pool = Some(SynthesisPool::new(threads)),
-        }
     }
 
     /// Copy the live columns into disjoint fixed-size shard ranges
-    /// (buffers reused across steps); returns the shard count.
+    /// (buffers reused across steps); returns the shard count. The other
+    /// shard buffers are cleared too, so rows a failed pass left behind
+    /// never reach a later merge.
     fn shard_live(&mut self, threads: usize) -> usize {
         let n = self.store.live.len();
         debug_assert!(n < u32::MAX as usize, "positions are u32");
@@ -691,6 +631,9 @@ impl SyntheticDb {
             let hi = (lo + chunk_len).min(n);
             shard.cols.clear();
             shard.cols.extend_from_range(&self.store.live, lo, hi);
+            shard.finished.clear();
+            shard.appended.clear();
+            shard.victims.clear();
         }
         self.store.live.clear();
         num_shards
@@ -761,8 +704,8 @@ impl SyntheticDb {
     /// into the dataset).
     ///
     /// Non-consuming: afterwards the database is reset to a fresh,
-    /// uninitialized session (ids restart at 0) while the worker pool and
-    /// every scratch buffer keep their capacity, so a long-lived service
+    /// uninitialized session (ids restart at 0) while every scratch buffer
+    /// keeps its capacity, so a long-lived service
     /// can release one stream and immediately begin the next.
     pub fn release<S: Space>(&mut self, space: S, horizon: u64) -> GriddedDataset {
         let store = std::mem::take(&mut self.store);
@@ -1028,50 +971,25 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// A reset session replays its parallel steps bit for bit on the
+    /// reused shard buffers.
     #[test]
-    fn pooled_step_reuses_one_pool_across_steps() {
+    fn reset_replays_parallel_steps_identically() {
         let (grid, table, _) = setup();
         let model = eastward_model_cached(&grid, &table);
-        let mut db = SyntheticDb::new();
-        let mut rng = StdRng::seed_from_u64(15);
-        for t in 0..5 {
-            db.step_parallel(t, &model, &table, 5000, 50.0, &mut rng, 2);
-        }
-        let pool = db.pool.as_ref().expect("pool created by parallel steps");
-        assert_eq!(pool.threads(), 2);
-        // Changing the thread count re-creates the pool at the new size.
-        db.step_parallel(5, &model, &table, 5000, 50.0, &mut rng, 4);
-        assert_eq!(db.pool.as_ref().unwrap().threads(), 4);
-        let released = db.release(&grid, 6);
-        for s in released.iter() {
-            for w in s.cells.windows(2) {
-                assert!(grid.are_adjacent(w[0], w[1]));
+        let run = |db: &mut SyntheticDb| {
+            let mut rng = StdRng::seed_from_u64(16);
+            for (t, target) in [(0u64, 5000usize), (1, 5000), (2, 4000), (3, 4500)] {
+                db.step_parallel(t, &model, &table, target, 50.0, &mut rng, 2);
             }
-        }
-    }
-
-    #[test]
-    fn reset_keeps_pool_workers_alive() {
-        let (grid, table, _) = setup();
-        let model = eastward_model_cached(&grid, &table);
+        };
+        let mut fresh = SyntheticDb::new();
+        run(&mut fresh);
         let mut db = SyntheticDb::new();
-        let mut rng = StdRng::seed_from_u64(16);
-        for t in 0..3 {
-            db.step_parallel(t, &model, &table, 5000, 50.0, &mut rng, 2);
-        }
-        let ids = db.pool.as_ref().expect("pool created").worker_ids();
+        run(&mut db);
         db.reset();
-        assert!(db.pool.is_some(), "reset dropped the worker pool");
-        let mut rng = StdRng::seed_from_u64(16);
-        for t in 0..3 {
-            db.step_parallel(t, &model, &table, 5000, 50.0, &mut rng, 2);
-        }
-        assert_eq!(
-            db.pool.as_ref().unwrap().worker_ids(),
-            ids,
-            "reset re-spawned pool workers instead of reusing them"
-        );
-        let _ = db.release(&grid, 3);
+        run(&mut db);
+        assert_eq!(db.release(&grid, 4), fresh.release(&grid, 4));
     }
 
     #[test]

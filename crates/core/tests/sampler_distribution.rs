@@ -74,7 +74,7 @@ fn cached_model_draws_match_scan_distribution_per_cell() {
     let mut model = GlobalMobilityModel::new(table.len());
     model.replace_all(&freqs);
     model.rebuild_samplers(&table);
-    let cache = model.sampler().expect("fresh cache").clone();
+    let cache = model.sampler().expect("fresh cache");
 
     let n = 60_000u64;
     let mut rng = StdRng::seed_from_u64(2002);
@@ -110,7 +110,7 @@ fn cached_enter_draws_match_enter_distribution() {
     let mut model = GlobalMobilityModel::new(table.len());
     model.replace_all(&freqs);
     model.rebuild_samplers(&table);
-    let cache = model.sampler().unwrap().clone();
+    let cache = model.sampler().unwrap();
 
     let probs = model.enter_distribution(&table);
     let n = 150_000u64;

@@ -1,4 +1,4 @@
-//! Determinism pins for the sharded collection pipeline: the pooled
+//! Determinism pins for the sharded collection pipeline: the sharded
 //! blocked-kernel round must estimate the true frequencies without bias,
 //! full engine runs must release identical bytes at every
 //! `collection_threads` value in both report modes and divisions, and the
@@ -6,31 +6,29 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use retrasyn_core::{CollectionPool, RetraSyn, RetraSynConfig, StreamingEngine};
+use retrasyn_core::{collect_ones_sharded, RetraSyn, RetraSynConfig, StreamingEngine};
 use retrasyn_datagen::RandomWalkConfig;
 use retrasyn_geo::{Grid, GriddedDataset};
 use retrasyn_ldp::{Oue, Philox};
-use std::sync::Arc;
 
 fn skewed_values(n: usize, domain: usize) -> Vec<usize> {
     (0..n).map(|i| (i * i + 7 * i) % domain).collect()
 }
 
-/// Pooled estimates agree with the truth to within sampling noise: each
+/// Sharded estimates agree with the truth to within sampling noise: each
 /// position count has the same mean under any partition of the round.
 #[test]
 fn sharded_estimates_agree_with_truth() {
     let domain = 10;
-    let oracle = Arc::new(Oue::new(1.0, domain).unwrap());
+    let oracle = Oue::new(1.0, domain).unwrap();
     let n = 4000usize;
     let values = skewed_values(n, domain);
     let mut truth = vec![0.0; domain];
     for &v in &values {
         truth[v] += 1.0 / n as f64;
     }
-    let mut pool = CollectionPool::new(4);
     let mut ones = Vec::new();
-    pool.collect_ones_blocked(&oracle, &values, &Philox::new(21), &mut ones).unwrap();
+    collect_ones_sharded(4, &oracle, &values, &Philox::new(21), &mut ones).unwrap();
     let mut freqs = Vec::new();
     oracle.debias_into(&ones, n as u64, &mut freqs);
     let sd = oracle.variance(n as u64).sqrt();

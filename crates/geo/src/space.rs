@@ -127,8 +127,8 @@ impl QuadLeaf {
 /// Point→cell lookup strategy of a compiled topology.
 #[derive(Debug, Clone)]
 enum Locator {
-    /// Row-major arithmetic, identical to [`Grid::cell_of`].
-    Uniform { k: u32 },
+    /// Row-major arithmetic of the source [`Grid`].
+    Uniform(Grid),
     /// Bit-walk descent through the quad tree. `nodes[i][q]` is either a
     /// leaf id (`>= 0`) or the negated index of the child node (`< 0`);
     /// empty means the tree is the single root leaf.
@@ -202,14 +202,7 @@ impl Topology {
     /// Cell containing point `p` (points outside the box are clamped in).
     pub fn cell_of(&self, p: &Point) -> CellId {
         match self.locator {
-            Locator::Uniform { k } => {
-                let p = self.bbox.clamp(*p);
-                let fx = (p.x - self.bbox.min.x) / self.bbox.width();
-                let fy = (p.y - self.bbox.min.y) / self.bbox.height();
-                let x = ((fx * k as f64) as u32).min(k - 1);
-                let y = ((fy * k as f64) as u32).min(k - 1);
-                CellId(y * k + x)
-            }
+            Locator::Uniform(ref grid) => grid.cell_of(p),
             Locator::Quad { depth, ref nodes } => {
                 if nodes.is_empty() {
                     return CellId(0);
@@ -280,10 +273,10 @@ impl Topology {
         if a == b {
             return 0;
         }
-        if let Locator::Uniform { k } = self.locator {
-            let (ax, ay) = (a.0 % k, a.0 / k);
-            let (bx, by) = (b.0 % k, b.0 / k);
-            return ax.abs_diff(bx).max(ay.abs_diff(by)) as u64;
+        if let Locator::Uniform(ref grid) = self.locator {
+            let (ax, ay) = grid.cell_xy(a);
+            let (bx, by) = grid.cell_xy(b);
+            return u64::from(ax.abs_diff(bx).max(ay.abs_diff(by)));
         }
         if self.are_adjacent(a, b) {
             return 1;
@@ -371,7 +364,7 @@ impl Space for Grid {
             rects,
             adj_offsets,
             adj,
-            locator: Locator::Uniform { k },
+            locator: Locator::Uniform(self.clone()),
         }
     }
 }

@@ -98,7 +98,7 @@ fn blocked_matches_reference_distribution_per_position() {
 
 /// Dense regime: merging gang-aligned domain shards reproduces the
 /// full-range round bit-for-bit, for aligned and ragged (tail) domains
-/// alike — the invariance `CollectionPool` relies on to shard the domain.
+/// alike — the invariance sharded collection relies on to split the domain.
 #[test]
 fn blocked_dense_domain_shards_merge_bit_identically() {
     for domain in [256usize, 100, 321] {

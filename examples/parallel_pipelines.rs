@@ -4,8 +4,8 @@
 //! cargo run --release --example parallel_pipelines
 //! ```
 //!
-//! Runs the same private stream under both worker pools and demonstrates
-//! their determinism contracts:
+//! Runs the same private stream with sharded collection and with sharded
+//! synthesis and demonstrates their determinism contracts:
 //!
 //! - `collection_threads` shards each per-user OUE round of the blocked
 //!   counter-based kernel. Its draws are addressed by (key, reporter row,
@@ -13,7 +13,7 @@
 //!   1 and 2 collection threads.
 //! - `synthesis_threads` shards the synthesis step, seeding each shard
 //!   from the session RNG: a fixed `(seed, threads)` pair is bit-identical
-//!   run to run, while the pooled random stream diverges from the
+//!   run to run, while the sharded random stream diverges from the
 //!   sequential one.
 
 use rand::rngs::StdRng;
@@ -27,7 +27,7 @@ fn run(
     synthesis_threads: usize,
 ) -> retrasyn::geo::GriddedDataset {
     // Exact per-user reports so the per-user collection kernel (not the
-    // aggregate binomial shortcut) is what the collection pool shards.
+    // aggregate binomial shortcut) is what collection sharding splits.
     let config = RetraSynConfig::new(1.0, 10)
         .with_lambda(15.0)
         .per_user_reports()
@@ -56,25 +56,25 @@ fn main() {
     let sequential = run(&dataset, &grid, 1, 1);
 
     // Collection: sharding cannot change the bits.
-    let collect_pooled = run(&dataset, &grid, 2, 1);
+    let collect_sharded = run(&dataset, &grid, 2, 1);
     assert!(
-        sequential.iter().eq(collect_pooled.iter()),
+        sequential.iter().eq(collect_sharded.iter()),
         "per-user collection must be bit-identical across collection thread counts"
     );
     println!("invariance : per-user output is bit-identical at 1 and 2 collection threads");
 
     // Synthesis: per-shard seeds make the stream a function of the
     // thread count.
-    let synth_pooled = run(&dataset, &grid, 1, 4);
+    let synth_sharded = run(&dataset, &grid, 1, 4);
     let synth_again = run(&dataset, &grid, 1, 4);
     assert!(
-        synth_pooled.iter().eq(synth_again.iter()),
+        synth_sharded.iter().eq(synth_again.iter()),
         "fixed (seed, threads) must be bit-identical"
     );
     println!("determinism: synthesis_threads=4 reruns are bit-identical");
     assert!(
-        !sequential.iter().eq(synth_pooled.iter()),
-        "the pooled synthesis stream should diverge from the sequential one"
+        !sequential.iter().eq(synth_sharded.iter()),
+        "the sharded synthesis stream should diverge from the sequential one"
     );
-    println!("divergence : pooled synthesis stream differs from sequential (pool engaged)");
+    println!("divergence : sharded synthesis stream differs from sequential (shards engaged)");
 }
